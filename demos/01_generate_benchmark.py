@@ -5,7 +5,7 @@ a chosen fraction of links (mu_t) crosses community borders, then fits edge
 weights so a chosen fraction of node strength (mu_w) crosses them too.
 """
 
-from commselect import GenParams, generate, measured_mixing, node_stats
+from commselect import GenParams, generate, measured_mixing
 from commselect.graph import save_edge_list, save_partition
 
 params = GenParams(
@@ -28,7 +28,7 @@ print(f"target mu_w:     {params.mu_w}   achieved: {net.achieved_mu_w:.4f}")
 assert measured_mixing(net.graph, net.truth) == (net.achieved_mu_t,
                                                  net.achieved_mu_w)
 
-deg, strength = node_stats(net.graph, 0)
+deg, strength = net.graph.degree(0), net.graph.strength(0)
 print(f"node 0:          degree {deg}, strength {strength:.2f}")
 
 save_edge_list(net.graph, "benchmark.edges",

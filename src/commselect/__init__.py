@@ -2,16 +2,16 @@
 selection from observable clustering features."""
 
 from .graph import (Graph, Partition, load_edge_list, load_partition,
-                    node_stats, parse_edge_list, parse_partition,
-                    save_edge_list, save_partition, with_unit_weights,
-                    write_edge_list, write_partition)
+                    parse_edge_list, parse_partition, save_edge_list,
+                    save_partition, with_unit_weights, write_edge_list,
+                    write_partition)
 from .lfr import (GenParams, GenerationError, PlantedNetwork, assign_weights,
                   build_topology, generate, measured_mixing,
                   sample_community_sizes, sample_truncated_power_law,
                   solve_k_min)
 from .metrics import (ClusteringSummary, local_clustering_uw,
                       local_clustering_w, mean_clustering, modularity, nmi)
-from .copra import CopraConfig, LabelState, propagate_step, run_once
+from .copra import CopraConfig, propagate_step, run_once
 from .copra import detect as copra_detect
 from .infomap import InfomapConfig, map_equation, visit_rates
 from .infomap import detect as infomap_detect

@@ -9,9 +9,10 @@ run with the highest weighted modularity.
 
 Updates are synchronous. Iteration stops at a fixed point (every node's label
 is among its neighbourhood's most supported), on an exact deterministic
-two-step oscillation, or at the iteration cap, whichever comes first. An
-oscillating state is not a fixed point (on near-bipartite structure it swaps
-the labels of two node groups), so it is settled by asynchronous sweeps as in
+two-step oscillation, or at the iteration cap, whichever comes first. The
+last two exits leave a state that is not a fixed point (an oscillation on
+near-bipartite structure swaps the labels of two node groups; at the cap the
+run may still be rolling ties), so it is settled by asynchronous sweeps as in
 Raghavan et al. 2007 (arXiv:0709.2938): nodes are visited in random order and
 see the labels already updated in that sweep; a node keeps its label when it
 is among its most supported, otherwise it takes one of those uniformly at
@@ -39,8 +40,6 @@ class CopraConfig:
     runs: int = 10
     max_iters: int = 100
     weighted: bool = True
-    # hard partitions only; the knob exists for a future overlapping variant
-    v_max: int = 1
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -48,23 +47,12 @@ class CopraConfig:
             raise ValueError("runs must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.v_max != 1:
-            raise ValueError("only v_max=1 (hard partitions) is supported")
 
 
-@dataclass(frozen=True)
-class LabelState:
-    """Per-node labels after some number of synchronous iterations."""
-    labels: tuple[int, ...]
-    iteration: int = 0
-
-    @classmethod
-    def initial(cls, g: Graph) -> "LabelState":
-        return cls(labels=tuple(range(g.n)), iteration=0)
-
-
-def _step(g: Graph, labels: np.ndarray, weighted: bool, rng) -> tuple[np.ndarray, bool]:
-    """One synchronous update; returns (new labels, whether a tie was rolled)."""
+def propagate_step(g: Graph, labels: np.ndarray, weighted: bool,
+                   rng) -> tuple[np.ndarray, bool]:
+    """One synchronous update of the per-node ``labels``; returns (new labels,
+    whether a tie was rolled). Isolated nodes keep their label."""
     n = g.n
     indptr, nbr, wt = g.csr()
     rows = np.repeat(np.arange(n), g.degrees)
@@ -77,21 +65,8 @@ def _step(g: Graph, labels: np.ndarray, weighted: bool, rng) -> tuple[np.ndarray
     tie_rolled = bool((at_peak.sum(axis=1) > 1).any())
     # uniform choice among tied labels via random keys
     keys = np.where(at_peak, rng.random((n, width)), -1.0)
-    new = keys.argmax(axis=1).astype(np.int64)
-    isolated = g.degrees == 0
-    if isolated.any():
-        new[isolated] = labels[isolated]
+    new = np.where(g.degrees == 0, labels, keys.argmax(axis=1))
     return new, tie_rolled
-
-
-def propagate_step(g: Graph, state: LabelState, cfg: CopraConfig, rng) -> LabelState:
-    """Apply one synchronous propagation step to ``state``."""
-    labels = np.asarray(state.labels, dtype=np.int64)
-    if labels.size != g.n:
-        raise ValueError("label state does not cover all nodes")
-    new, _ = _step(g, labels, cfg.weighted, rng)
-    return LabelState(labels=tuple(int(x) for x in new),
-                      iteration=state.iteration + 1)
 
 
 def _settle(g: Graph, labels: np.ndarray, weighted: bool, max_sweeps: int,
@@ -99,28 +74,34 @@ def _settle(g: Graph, labels: np.ndarray, weighted: bool, max_sweeps: int,
     """Asynchronous sweeps from ``labels`` until one changes nothing, or
     ``max_sweeps`` have run."""
     indptr, nbr, wt = g.csr()
-    labels = labels.copy()
+    indptr, nbr = indptr.tolist(), nbr.tolist()
+    wt = wt.tolist() if weighted else [1.0] * len(nbr)
+    labels = labels.tolist()
     for _ in range(max_sweeps):
         changed = False
-        for v in rng.permutation(g.n):
+        for v in rng.permutation(g.n).tolist():
             lo, hi = indptr[v], indptr[v + 1]
-            if lo == hi:
+            support: dict[int, float] = {}
+            for u, w in zip(nbr[lo:hi], wt[lo:hi]):
+                support[labels[u]] = support.get(labels[u], 0.0) + w
+            if not support:
                 continue
-            cand, inv = np.unique(labels[nbr[lo:hi]], return_inverse=True)
-            support = np.bincount(inv, weights=wt[lo:hi] if weighted else None)
-            best = cand[support == support.max()]
-            if labels[v] not in best:
-                labels[v] = best[rng.integers(best.size)]
+            peak = max(support.values())
+            if support.get(labels[v]) != peak:
+                best = sorted(lab for lab, x in support.items() if x == peak)
+                labels[v] = best[rng.integers(len(best))]
                 changed = True
         if not changed:
             break
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def _split_into_communities(g: Graph, labels: np.ndarray) -> Partition:
     # connected nodes sharing a label form one community; a shared label on
     # disconnected node sets is split
-    comm = np.full(g.n, -1, dtype=np.int64)
+    indptr, nbr, _ = g.csr()
+    indptr, nbr, labels = indptr.tolist(), nbr.tolist(), labels.tolist()
+    comm = [-1] * g.n
     next_id = 0
     for start in range(g.n):
         if comm[start] >= 0:
@@ -130,7 +111,7 @@ def _split_into_communities(g: Graph, labels: np.ndarray) -> Partition:
         comm[start] = next_id
         while stack:
             v = stack.pop()
-            for u, _ in g.neighbors(v):
+            for u in nbr[indptr[v]:indptr[v + 1]]:
                 if comm[u] < 0 and labels[u] == lab:
                     comm[u] = next_id
                     stack.append(u)
@@ -142,9 +123,9 @@ def run_once(g: Graph, cfg: CopraConfig, rng) -> Partition:
     """Single seeded propagation run, returning the resulting hard partition.
 
     Synchronous steps run until a fixed point, an exact two-step oscillation
-    or ``cfg.max_iters`` steps. An oscillation is then settled into a fixed
-    point by at most ``cfg.max_iters`` asynchronous sweeps drawing from the
-    same ``rng``.
+    or ``cfg.max_iters`` steps. Both exits that are not a fixed point are then
+    settled into one by at most ``cfg.max_iters`` asynchronous sweeps drawing
+    from the same ``rng``.
     """
     if g.n == 0:
         raise ValueError("cannot partition a graph with zero nodes")
@@ -152,17 +133,17 @@ def run_once(g: Graph, cfg: CopraConfig, rng) -> Partition:
     prev = None
     tie_cur = False
     for _ in range(cfg.max_iters):
-        new, tie = _step(g, labels, cfg.weighted, rng)
+        new, tie = propagate_step(g, labels, cfg.weighted, rng)
         if np.array_equal(new, labels):
-            labels = new
-            break
-        if (prev is not None and np.array_equal(new, prev)
-                and not tie and not tie_cur):
-            labels = _settle(g, new, cfg.weighted, cfg.max_iters, rng)
-            break
+            return _split_into_communities(g, labels)
+        oscillating = (prev is not None and np.array_equal(new, prev)
+                       and not tie and not tie_cur)
         prev = labels
         labels, tie_cur = new, tie
-    return _split_into_communities(g, labels)
+        if oscillating:
+            break
+    return _split_into_communities(
+        g, _settle(g, labels, cfg.weighted, cfg.max_iters, rng))
 
 
 def detect(g: Graph, cfg: CopraConfig) -> Partition:
@@ -174,14 +155,9 @@ def detect(g: Graph, cfg: CopraConfig) -> Partition:
     the graph with unit weights.
     """
     work = g if cfg.weighted else with_unit_weights(g)
-    best_q = -np.inf
-    best: Partition | None = None
-    for run in range(cfg.runs):
-        part = run_once(work, cfg, spawn_rng(cfg.seed, run))
-        if work.edge_count == 0:
-            return part
-        q = modularity(work, part)
-        if q > best_q:
-            best_q = q
-            best = part
-    return best
+    parts = (run_once(work, cfg, spawn_rng(cfg.seed, run))
+             for run in range(cfg.runs))
+    if work.edge_count == 0:
+        return next(parts)
+    # max keeps the first of equal modularities
+    return max(parts, key=lambda part: modularity(work, part))

@@ -2,8 +2,13 @@
 
 Everything downstream (generation, detection, scoring) works on these two
 containers. Graphs are simple (no self-loops, no parallel edges), weights are
-strictly positive, and node ids are dense in ``[0, N)``. Both containers are
-immutable after construction and safe to share across threads or processes.
+strictly positive, and node ids are dense in ``[0, N)``. A graph is stored
+once, as read-only numpy arrays: its edges ``u < v`` sorted by ``(u, v)``
+with their weights, and the CSR adjacency derived from them, whose rows list
+each node's neighbours in ascending order. Node degrees, strengths and the
+total weight are computed from those arrays at construction. Both containers
+are immutable after construction and safe to share across threads or
+processes.
 """
 
 from __future__ import annotations
@@ -20,103 +25,115 @@ class Graph:
 
     Args:
         node_count: number of nodes N; ids are 0..N-1.
-        edges: iterable of (u, v, w) with u != v, w > 0. Each unordered pair
-            may appear at most once.
+        edges: (u, v, w) rows with u != v, w > 0, as an iterable of triples
+            or an (m, 3) array. Each unordered pair may appear at most once.
         labels: optional original node labels (length N), kept when a parsed
             file used sparse or non-contiguous ids. ``None`` means identity.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_adj_map", "degrees", "strengths",
-                 "total_weight", "_csr_indptr", "_csr_nbr", "_csr_wt", "labels")
+    __slots__ = ("n", "_u", "_v", "_w", "_indptr", "_nbr", "_wt", "degrees",
+                 "strengths", "total_weight", "labels")
 
-    def __init__(self, node_count: int, edges: Iterable[Edge],
+    def __init__(self, node_count: int, edges: Iterable[Edge] | np.ndarray,
                  labels: Sequence[int] | None = None):
         if node_count < 0:
             raise ValueError(f"node_count must be >= 0, got {node_count}")
         n = int(node_count)
-        canon: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside node range [0,{n})")
-            if not w > 0.0:
-                raise ValueError(f"non-positive weight {w} on edge ({u},{v})")
-            key = (u, v) if u < v else (v, u)
-            if key in canon:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            canon[key] = w
+        rows = np.asarray(edges if isinstance(edges, np.ndarray)
+                          else list(edges), dtype=np.float64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError("edges must be (u, v, w) triples")
+        u, v, w = rows[:, 0], rows[:, 1], rows[:, 2]
+        in_range = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        faulty = np.flatnonzero((u == v) | ~in_range | ~(w > 0.0))
+        # edges are checked in input order: a duplicate is reported only
+        # when it comes before the first edge with another fault
+        clean = int(faulty[0]) if faulty.size else len(rows)
+        lo = np.minimum(u[:clean], v[:clean]).astype(np.int64)
+        hi = np.maximum(u[:clean], v[:clean]).astype(np.int64)
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][np.diff(key[order]) == 0]
+        if repeats.size:
+            i = int(repeats.min())
+            raise ValueError(f"duplicate edge ({lo[i]},{hi[i]})")
+        if faulty.size:
+            a, b, wi = int(u[clean]), int(v[clean]), float(w[clean])
+            if a == b:
+                raise ValueError(f"self-loop on node {a}")
+            if not in_range[clean]:
+                raise ValueError(f"edge ({a},{b}) outside node range [0,{n})")
+            raise ValueError(f"non-positive weight {wi} on edge ({a},{b})")
         if labels is not None:
             labels = tuple(int(x) for x in labels)
             if len(labels) != n:
                 raise ValueError("labels length must equal node_count")
 
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(
-            (u, v, canon[(u, v)]) for u, v in sorted(canon))
         self.labels = labels
-
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._adj_map = tuple(dict(a) for a in self._adj)
-
-        self.degrees = np.array([len(a) for a in self._adj], dtype=np.int64)
-        self.strengths = np.array(
-            [sum(w for _, w in a) for a in self._adj], dtype=np.float64)
-        self.total_weight = float(sum(w for _, _, w in self.edges))
-
-        # CSR view of the adjacency, used by the vectorised algorithms.
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=indptr[1:])
-        nbr = np.empty(int(indptr[-1]), dtype=np.int64)
-        wt = np.empty(int(indptr[-1]), dtype=np.float64)
-        pos = 0
-        for v in range(n):
-            for j, w in self._adj[v]:
-                nbr[pos] = j
-                wt[pos] = w
-                pos += 1
-        self._csr_indptr, self._csr_nbr, self._csr_wt = indptr, nbr, wt
+        self._u, self._v, self._w = lo[order], hi[order], w[order]
+        # CSR rows: a stable sort by node of the (v -> u) halves followed by
+        # the (u -> v) halves lists every row's neighbours in ascending order
+        src = np.concatenate([self._v, self._u])
+        perm = np.argsort(src, kind="stable")
+        self._nbr = np.concatenate([self._u, self._v])[perm]
+        self._wt = np.concatenate([self._w, self._w])[perm]
+        self.degrees = np.bincount(src, minlength=n)
+        self._indptr = np.concatenate([[0], np.cumsum(self.degrees)])
+        # summed in CSR order: each strength adds its node's weights in
+        # ascending neighbour order
+        self.strengths = np.bincount(src[perm], weights=self._wt, minlength=n)
+        # left-to-right sum, the same rounding as adding the edges in order
+        self.total_weight = float(np.cumsum(self._w)[-1]) if len(order) else 0.0
+        for arr in (self._u, self._v, self._w, self._indptr, self._nbr,
+                    self._wt, self.degrees, self.strengths):
+            arr.setflags(write=False)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(self._u.size)
 
-    def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        """(neighbor, weight) pairs of v, sorted by neighbor id."""
-        return self._adj[v]
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """(u, v, w) tuples with u < v, in ascending (u, v) order."""
+        return tuple(zip(self._u.tolist(), self._v.tolist(), self._w.tolist()))
 
-    def neighbor_map(self, v: int) -> dict[int, float]:
-        """Neighbor -> weight mapping of v (do not mutate)."""
-        return self._adj_map[v]
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
-    def strength(self, v: int) -> float:
-        return float(self.strengths[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_map[u]
-
-    def weight(self, u: int, v: int) -> float:
-        return self._adj_map[u][v]
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, w) arrays of the edges, u < v, sorted by (u, v)."""
+        return self._u, self._v, self._w
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbors, weights) arrays of the adjacency."""
-        return self._csr_indptr, self._csr_nbr, self._csr_wt
+        return self._indptr, self._nbr, self._wt
+
+    def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
+        """(neighbor, weight) pairs of v, sorted by neighbor id."""
+        lo, hi = self._indptr[v], self._indptr[v + 1]
+        return tuple(zip(self._nbr[lo:hi].tolist(), self._wt[lo:hi].tolist()))
+
+    def check_node(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} outside [0,{self.n})")
+
+    def degree(self, v: int) -> int:
+        self.check_node(v)
+        return int(self.degrees[v])
+
+    def strength(self, v: int) -> float:
+        self.check_node(v)
+        return float(self.strengths[v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and all(
+            np.array_equal(a, b)
+            for a, b in zip(self.edge_arrays(), other.edge_arrays()))
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, *(a.tobytes() for a in self.edge_arrays())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -147,14 +164,11 @@ class Partition:
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
         """Build a Partition from arbitrary labels, renumbering them densely
         in order of first appearance."""
-        remap: dict[int, int] = {}
-        out = []
-        for x in labels:
-            x = int(x)
-            if x not in remap:
-                remap[x] = len(remap)
-            out.append(remap[x])
-        return cls(out)
+        _, first, inverse = np.unique(np.asarray(labels, dtype=np.int64),
+                                      return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return cls(rank[inverse])
 
     @property
     def n(self) -> int:
@@ -163,10 +177,10 @@ class Partition:
     def members(self) -> tuple[tuple[int, ...], ...]:
         """Node ids per community, cached."""
         if self._members is None:
-            groups: list[list[int]] = [[] for _ in range(self.community_count)]
-            for v, c in enumerate(self.membership):
-                groups[int(c)].append(v)
-            self._members = tuple(tuple(g) for g in groups)
+            order = np.argsort(self.membership, kind="stable")
+            ends = np.cumsum(np.bincount(self.membership))[:-1]
+            self._members = tuple(tuple(group.tolist())
+                                  for group in np.split(order, ends))
         return self._members
 
     def __getitem__(self, v: int) -> int:
@@ -184,19 +198,10 @@ class Partition:
         return f"Partition(n={self.n}, communities={self.community_count})"
 
 
-def node_stats(g: Graph, v: int) -> tuple[int, float]:
-    """Return (degree, strength) of node v.
-
-    Degree is the neighbor count, strength the sum of incident link weights.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} outside [0,{g.n})")
-    return g.degree(v), g.strength(v)
-
-
 def with_unit_weights(g: Graph) -> Graph:
     """Copy of g with identical topology and every weight set to 1.0."""
-    return Graph(g.n, ((u, v, 1.0) for u, v, _ in g.edges), labels=g.labels)
+    u, v, _ = g.edge_arrays()
+    return Graph(g.n, np.column_stack((u, v, np.ones(u.size))), labels=g.labels)
 
 
 def _format_weight(w: float) -> str:
@@ -205,6 +210,10 @@ def _format_weight(w: float) -> str:
     if w >= 0.5:
         return f"{w:.9f}"
     return f"{w:.9e}"
+
+
+def _lines(text: str | IO[str]) -> list[str]:
+    return (text.read() if hasattr(text, "read") else text).splitlines()
 
 
 def parse_edge_list(text: str | IO[str]) -> Graph:
@@ -222,16 +231,12 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
 
     Raises:
         ValueError: on self-loops, duplicate pairs, non-positive weights, or
-            malformed tokens, naming the offending line.
+            malformed tokens, naming the first offending line.
     """
-    if hasattr(text, "read"):
-        lines = text.read().splitlines()
-    else:
-        lines = text.splitlines()
-
     declared_n = None
     raw_edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -264,16 +269,11 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
             raise ValueError(f"line {lineno}: self-loop on node {u}")
         if not w > 0.0:
             raise ValueError(f"line {lineno}: non-positive weight {w}")
-        raw_edges.append((u, v, w))
-
-    seen: set[tuple[int, int]] = set()
-    for lineno, (u, v, _) in zip(
-            (i for i, raw in enumerate(lines, start=1)
-             if raw.strip() and not raw.strip().startswith("#")), raw_edges):
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate edge ({key[0]},{key[1]})")
         seen.add(key)
+        raw_edges.append((u, v, w))
 
     ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
     if not ids:
@@ -321,12 +321,8 @@ def save_edge_list(g: Graph, path, header_comments: Sequence[str] = ()) -> None:
 
 def write_partition(p: Partition, labels: Sequence[int] | None = None) -> str:
     """Serialise a Partition as one ``node<TAB>community`` pair per line."""
-    lab = labels
-    lines = []
-    for v in range(p.n):
-        a = v if lab is None else lab[v]
-        lines.append(f"{a}\t{p[v]}")
-    return "\n".join(lines) + "\n"
+    ids = range(p.n) if labels is None else labels
+    return "".join(f"{a}\t{c}\n" for a, c in zip(ids, p.membership.tolist()))
 
 
 def parse_partition(text: str | IO[str]) -> Partition:
@@ -335,12 +331,8 @@ def parse_partition(text: str | IO[str]) -> Partition:
     Node ids must cover 0..N-1 exactly once; community ids are renumbered
     densely in order of first appearance.
     """
-    if hasattr(text, "read"):
-        lines = text.read().splitlines()
-    else:
-        lines = text.splitlines()
     pairs: dict[int, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -3,10 +3,10 @@ evaluation, and selection-quality reports, all with derived seeding so any
 run is reproducible bit for bit.
 
 Seed derivation: the network of grid cell (i, j), repetition r is generated
-with a seed drawn from ``SeedSequence(master_seed, spawn_key=(i, j, r, 0))``;
-algorithm slot a (1-based position in the canonical algorithm order) runs
-with ``spawn_key=(i, j, r, a)``. Parallel workers therefore cannot change any
-result, only the wall-clock time.
+with the seed ``seeds.derive_seed(master_seed, i, j, r, 0)``; algorithm slot
+a (1-based position in the canonical algorithm order) runs with
+``derive_seed(master_seed, i, j, r, a)``. Parallel workers therefore cannot
+change any result, only the wall-clock time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .metrics import nmi
 from .selector import (ClassLabel, FeatureVector, SelectorModel, SvmHyper,
                        algorithm_class, extract_features, label_network,
                        predict, train_selector)
-from .seeds import check_seed
+from .seeds import check_seed, derive_seed, spawn_rng
 
 ALGORITHM_ORDER = ("copra_uw", "copra_w", "infomap_uw", "infomap_w")
 
@@ -80,16 +80,11 @@ class SweepConfig:
             raise ValueError("select at least one algorithm")
 
 
-def _task_seed(master: int, i: int, j: int, rep: int, slot: int) -> int:
-    return int(np.random.SeedSequence(master, spawn_key=(i, j, rep, slot))
-               .generate_state(1, np.uint64)[0])
-
-
 def _network_task(args) -> list[dict]:
     """Generate one network and score every selected algorithm on it."""
     base, i, j, rep, mu_t, mu_w, algorithms, master_seed = args
     params = replace(base, mu_t=mu_t, mu_w=mu_w,
-                     seed=_task_seed(master_seed, i, j, rep, 0))
+                     seed=derive_seed(master_seed, i, j, rep, 0))
     common = {"mu_t": mu_t, "mu_w": mu_w, "rep": rep}
     try:
         net = generate(params)
@@ -103,7 +98,7 @@ def _network_task(args) -> list[dict]:
     for alg in algorithms:
         slot = 1 + ALGORITHM_ORDER.index(alg)
         part = run_algorithm(alg, net.graph,
-                             _task_seed(master_seed, i, j, rep, slot))
+                             derive_seed(master_seed, i, j, rep, slot))
         rows.append(dict(common, algorithm=alg, status="ok",
                          nmi=nmi(part, net.truth),
                          c_uw=feats.c_uw, c_w=feats.c_w,
@@ -139,18 +134,13 @@ def run_sweep(config: SweepConfig) -> list[dict]:
 def aggregate_rows(rows: list[dict]) -> list[dict]:
     """Per (cell, algorithm) mean and sample standard deviation of NMI."""
     groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
     for r in rows:
-        if r["status"] != "ok":
-            continue
-        key = (r["mu_t"], r["mu_w"], r["algorithm"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r["nmi"])
+        if r["status"] == "ok":
+            key = (r["mu_t"], r["mu_w"], r["algorithm"])
+            groups.setdefault(key, []).append(r["nmi"])
     out = []
-    for key in order:
-        vals = np.array(groups[key])
+    for key, vals in groups.items():
+        vals = np.array(vals)
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         out.append({"mu_t": key[0], "mu_w": key[1], "algorithm": key[2],
                     "n": int(vals.size), "nmi_mean": float(vals.mean()),
@@ -217,18 +207,11 @@ class NetworkRecord:
 def collect_networks(rows: list[dict]) -> list[NetworkRecord]:
     """Group OK detail rows into one record per generated network."""
     grouped: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
     for r in rows:
-        if r["status"] != "ok":
-            continue
-        key = (r["mu_t"], r["mu_w"], r["rep"])
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(r)
+        if r["status"] == "ok":
+            grouped.setdefault((r["mu_t"], r["mu_w"], r["rep"]), []).append(r)
     records = []
-    for key in order:
-        rs = grouped[key]
+    for key, rs in grouped.items():
         records.append(NetworkRecord(
             mu_t=key[0], mu_w=key[1], rep=key[2],
             features=FeatureVector(c_uw=rs[0]["c_uw"], c_w=rs[0]["c_w"]),
@@ -285,7 +268,7 @@ def train_eval(rows: list[dict], train_fraction: float = 0.8,
         raise ValueError("no usable networks in the results")
     labels = [label_network(r.scores, threshold) for r in records]
 
-    rng = np.random.default_rng(np.random.SeedSequence(check_seed(split_seed)))
+    rng = spawn_rng(split_seed)
     perm = rng.permutation(len(records))
     n_train = int(round(train_fraction * len(records)))
     train_idx = sorted(int(i) for i in perm[:n_train])
@@ -362,17 +345,11 @@ def report_selection(rows: list[dict], model: SelectorModel) -> list[dict]:
     if not records:
         raise ValueError("no usable networks in the results")
     cells: dict[tuple, list[NetworkRecord]] = {}
-    order: list[tuple] = []
     for rec in records:
-        key = (rec.mu_t, rec.mu_w)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(rec)
+        cells.setdefault((rec.mu_t, rec.mu_w), []).append(rec)
 
     out = []
-    for key in order:
-        recs = cells[key]
+    for key, recs in cells.items():
         best_w, best_uw, selected = [], [], []
         fallbacks = 0
         per_alg: dict[str, list[float]] = {a: [] for a in ALGORITHM_ORDER}

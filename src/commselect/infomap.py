@@ -27,6 +27,11 @@ def _plogp(x: float) -> float:
     return x * math.log(x) / _LOG2
 
 
+def _sum_plogp(x: np.ndarray) -> float:
+    x = x[x > 0.0]
+    return float((x * np.log(x)).sum() / _LOG2)
+
+
 @dataclass(frozen=True)
 class InfomapConfig:
     """Optimizer settings for map-equation detection."""
@@ -56,40 +61,25 @@ def map_equation(g: Graph, p: Partition) -> float:
     L(M) = q H(Q) + sum_m p_m H(P_m), with module exit rates
     q_m = (weight leaving m) / 2W, q = sum_m q_m, p_m = q_m + sum_{v in m} p_v,
     H(Q) the entropy of {q_m / q} and H(P_m) the entropy of
-    {q_m / p_m} plus {p_v / p_m}. Empty terms contribute zero.
+    {q_m / p_m} plus {p_v / p_m}. Empty terms contribute zero. Expanding
+    the entropies gives the form summed here, with plogp(x) = x log2 x:
+    L = plogp(q) - 2 sum_m plogp(q_m) + sum_m plogp(p_m) - sum_v plogp(p_v).
     """
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
     if g.edge_count == 0:
         return 0.0
-    rates = visit_rates(g)
+    u, v, w = g.edge_arrays()
     m = p.membership
     nc = p.community_count
-    two_w = 2.0 * g.total_weight
-    q_mod = np.zeros(nc)
-    for u, v, w in g.edges:
-        cu, cv = m[u], m[v]
-        if cu != cv:
-            q_mod[cu] += w / two_w
-            q_mod[cv] += w / two_w
-    p_mod = q_mod.copy()
-    np.add.at(p_mod, m, rates)
-
-    q = float(q_mod.sum())
-    index_len = 0.0
-    if q > 0.0:
-        h_q = sum(-_plogp(qm / q) for qm in q_mod)
-        index_len = q * h_q
-    module_len = 0.0
-    for c in range(nc):
-        pm = p_mod[c]
-        if pm <= 0.0:
-            continue
-        h = -_plogp(q_mod[c] / pm)
-        for v in p.members()[c]:
-            h -= _plogp(rates[v] / pm)
-        module_len += pm * h
-    return index_len + module_len
+    cross = m[u] != m[v]
+    exits = w[cross] / (2.0 * g.total_weight)
+    q_mod = (np.bincount(m[u][cross], weights=exits, minlength=nc)
+             + np.bincount(m[v][cross], weights=exits, minlength=nc))
+    rates = visit_rates(g)
+    p_mod = q_mod + np.bincount(m, weights=rates, minlength=nc)
+    return (_plogp(float(q_mod.sum())) - 2.0 * _sum_plogp(q_mod)
+            + _sum_plogp(p_mod) - _sum_plogp(rates))
 
 
 class _Level:
@@ -106,12 +96,11 @@ class _Level:
 
 def _level_from_graph(g: Graph) -> _Level:
     two_w = 2.0 * g.total_weight
-    adj: list[dict[int, float]] = [dict() for _ in range(g.n)]
-    for u, v, w in g.edges:
-        adj[u][v] = adj[u].get(v, 0.0) + w / two_w
-        adj[v][u] = adj[v].get(u, 0.0) + w / two_w
-    rate = [g.strength(v) / two_w for v in range(g.n)]
-    return _Level(g.n, adj, rate)
+    indptr, nbr, wt = g.csr()
+    nbr, link_rate = nbr.tolist(), (wt / two_w).tolist()
+    bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    adj = [dict(zip(nbr[lo:hi], link_rate[lo:hi])) for lo, hi in bounds]
+    return _Level(g.n, adj, (g.strengths / two_w).tolist())
 
 
 def _local_move(level: _Level, rng, tol: float) -> list[int]:
@@ -176,13 +165,8 @@ def _local_move(level: _Level, rng, tol: float) -> list[int]:
 
 def _contract(level: _Level, module: list[int]) -> tuple[_Level, list[int]]:
     """Merge modules into super-nodes; returns (new level, dense module ids)."""
-    remap: dict[int, int] = {}
-    dense = []
-    for c in module:
-        if c not in remap:
-            remap[c] = len(remap)
-        dense.append(remap[c])
-    m = len(remap)
+    dense = Partition.from_labels(module).membership.tolist()
+    m = max(dense) + 1
     adj: list[dict[int, float]] = [dict() for _ in range(m)]
     rate = [0.0] * m
     for v in range(level.n):
@@ -195,49 +179,19 @@ def _contract(level: _Level, module: list[int]) -> tuple[_Level, list[int]]:
     return _Level(m, adj, rate), dense
 
 
-def _code_length(level: _Level, module: list[int]) -> float:
-    """Code length of a module assignment on a level, from aggregates."""
-    nc = max(module) + 1
-    q_mod = [0.0] * nc
-    p_mod = [0.0] * nc
-    for v in range(level.n):
-        c = module[v]
-        p_mod[c] += level.rate[v]
-        for u, w in level.adj[v].items():
-            if module[u] != c:
-                q_mod[c] += w
-    sum_q = sum(q_mod)
-    const = -sum(_plogp(r) for r in level.rate)
-    return (_plogp(sum_q)
-            - 2.0 * sum(_plogp(x) for x in q_mod)
-            + sum(_plogp(x + p) for x, p in zip(q_mod, p_mod))
-            + const)
-
-
-def _optimize_once(base: _Level, rng, tol: float) -> tuple[float, list[int]]:
+def _optimize_once(base: _Level, rng, tol: float) -> list[int]:
+    """Module of each base node after moving and agglomerating to a halt."""
     assignment = list(range(base.n))  # node -> module at the base level
     level = base
     while True:
         module = _local_move(level, rng, tol)
         n_mod = len(set(module))
         if n_mod == level.n:
-            break
+            return assignment
         level, dense = _contract(level, module)
         # dense[a] is the super-node of level node a, so composing through it
         # keeps `assignment` mapping base nodes to current-level nodes
         assignment = [dense[a] for a in assignment]
-    final = _code_length(base, _densify(assignment))
-    return final, assignment
-
-
-def _densify(labels):
-    remap: dict[int, int] = {}
-    out = []
-    for x in labels:
-        if x not in remap:
-            remap[x] = len(remap)
-        out.append(remap[x])
-    return out
 
 
 def detect(g: Graph, cfg: InfomapConfig) -> Partition:
@@ -254,12 +208,8 @@ def detect(g: Graph, cfg: InfomapConfig) -> Partition:
         return Partition(list(range(g.n)))
     work = g if cfg.weighted else with_unit_weights(g)
     base = _level_from_graph(work)
-    best_len = math.inf
-    best: list[int] | None = None
-    for restart in range(cfg.outer_passes):
-        rng = spawn_rng(cfg.seed, restart)
-        code_len, assignment = _optimize_once(base, rng, cfg.move_tolerance)
-        if code_len < best_len:
-            best_len = code_len
-            best = assignment
-    return Partition.from_labels(best)
+    parts = (Partition.from_labels(_optimize_once(
+                 base, spawn_rng(cfg.seed, restart), cfg.move_tolerance))
+             for restart in range(cfg.outer_passes))
+    # min keeps the first of equal code lengths
+    return min(parts, key=lambda part: map_equation(work, part))

@@ -10,8 +10,10 @@ into internal and external parts by the weight mixing parameter, and an
 iterative proportional scheme scales edge weights (geometric mean of the two
 endpoint factors) until node strengths match.
 
-Only the global mixing values are enforced, each within a stated tolerance;
-per-node mixing is approximate by design.
+Only mu_t is enforced, within ``mix_tolerance``. mu_w is fitted but not
+checked: it falls short of the request, at times by more than the tolerance,
+when ``_balance_external_targets`` scales external targets down, and
+``PlantedNetwork`` reports the value reached. Per-node mixing is approximate.
 """
 
 from __future__ import annotations
@@ -321,14 +323,10 @@ def _assign_communities(int_deg, sizes, rng) -> np.ndarray:
     return membership
 
 
-def _fix_parity(degrees, int_deg, ext_deg, membership, sizes, rng):
+def _fix_parity(degrees, int_deg, ext_deg, members, sizes, rng):
     """Make each community's internal stub count even, then the external
     total even, nudging single stubs (or dropping one) as needed."""
-    nc = len(sizes)
-    members = [[] for _ in range(nc)]
-    for v, c in enumerate(membership):
-        members[int(c)].append(v)
-    for c in range(nc):
+    for c in range(len(sizes)):
         if sum(int_deg[v] for v in members[c]) % 2 == 0:
             continue
         size_c = sizes[c]
@@ -478,13 +476,12 @@ def build_topology(degrees, sizes, mu_t, rng,
             "topology", "external links are impossible with a single community")
 
     membership = _assign_communities(int_deg, sizes, rng)
-    _fix_parity(degrees, int_deg, ext_deg, membership, sizes, rng)
+    truth = Partition(membership)
+    members = truth.members()
+    _fix_parity(degrees, int_deg, ext_deg, members, sizes, rng)
 
     pool = _EdgePool(membership)
-    members = [[] for _ in sizes]
-    for v, c in enumerate(membership):
-        members[int(c)].append(v)
-    for c, nodes in enumerate(members):
+    for nodes in members:
         stubs = [v for v in nodes for _ in range(int_deg[v])]
         for a, b in _stub_match(stubs, rng):
             pool.add(a, b, 0)
@@ -496,7 +493,6 @@ def build_topology(degrees, sizes, mu_t, rng,
 
     edges = [(a, b, 1.0) for a, b in pool.records]
     graph = Graph(n, edges)
-    truth = Partition(membership)
     achieved = measured_mixing(graph, truth)[0]
     if abs(achieved - mu_t) > mix_tolerance:
         raise GenerationError(
@@ -684,9 +680,11 @@ def _balance_external_targets(t_ext: np.ndarray, truth: Partition) -> np.ndarray
     External edges connect different communities, so community c's external
     strength total can never exceed everyone else's combined, and with
     exactly two communities the two totals must be equal (the external
-    subgraph is bipartite). Only the global mixing is contractual, so the
-    per-node targets are nudged by a per-community factor that preserves the
-    overall external total.
+    subgraph is bipartite). The per-node targets are scaled by a
+    per-community factor: with two communities both totals move to their
+    mean, which keeps the external total; with more, a community whose total
+    exceeds all the others' combined is scaled down to their sum, which
+    lowers the external total and so the weight mixing reached.
     """
     out = np.zeros(truth.community_count)
     np.add.at(out, truth.membership, t_ext)
@@ -721,8 +719,7 @@ def assign_weights(g: Graph, truth: Partition, beta: float, mu_w: float,
         raise GenerationError("weights", "partition does not cover the graph")
     if g.edge_count == 0:
         return g
-    eu = np.array([u for u, _, _ in g.edges], dtype=np.int64)
-    ev = np.array([v for _, v, _ in g.edges], dtype=np.int64)
+    eu, ev, _ = g.edge_arrays()
     m = truth.membership
     internal = m[eu] == m[ev]
     n = g.n
@@ -759,8 +756,7 @@ def assign_weights(g: Graph, truth: Partition, beta: float, mu_w: float,
             f"strength fit stalled at mean relative error {err:.4f} "
             f"(tolerance {tolerance})",
             achieved=err)
-    edges = [(int(u), int(v), float(wi)) for u, v, wi in zip(eu, ev, w)]
-    return Graph(g.n, edges)
+    return Graph(g.n, np.column_stack((eu, ev, w)))
 
 
 def measured_mixing(g: Graph, p: Partition) -> tuple[float, float]:
@@ -774,15 +770,10 @@ def measured_mixing(g: Graph, p: Partition) -> tuple[float, float]:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
     if g.edge_count == 0:
         return 0.0, 0.0
-    m = p.membership
-    cross_deg = 0
-    cross_w = 0.0
-    for u, v, w in g.edges:
-        if m[u] != m[v]:
-            cross_deg += 1
-            cross_w += w
-    total_deg = int(g.degrees.sum())
-    return 2.0 * cross_deg / total_deg, cross_w / g.total_weight
+    u, v, w = g.edge_arrays()
+    cross = p.membership[u] != p.membership[v]
+    return (2.0 * int(cross.sum()) / int(g.degrees.sum()),
+            float(w[cross].sum()) / g.total_weight)
 
 
 def generate(params: GenParams) -> PlantedNetwork:

@@ -1,15 +1,23 @@
 """Partition scoring and the two observable clustering-coefficient features.
 
 The unweighted local clustering coefficient of a node is the fraction of its
-neighbor pairs that are themselves linked. The weighted variant rescales each
-linked pair by the weights of the links from the node to that pair, so it
-responds to how strongly the node's weight is concentrated on triangle-closing
-links:
+neighbor pairs that are themselves linked. The weighted variant (Barrat et
+al. 2004, arXiv:cond-mat/0311416) rescales each linked pair by the weights of
+the links from the node to that pair, so it responds to how strongly the
+node's weight is concentrated on triangle-closing links:
 
     C_uw(v) = sum_{i<j in N(v)} e_ij / (k_v (k_v - 1) / 2)
     C_w(v)  = sum_{i<j in N(v)} (w_vi + w_vj) e_ij / (s_v (k_v - 1))
 
+Both are computed for every node at once from the graph's arrays. With t_e
+the number of common neighbours of edge e's endpoints (the triangles on e),
+each triangle at v is counted once by each of its two links at v, so
+
+    C_uw(v) = sum_{e at v} t_e / (k_v (k_v - 1))
+    C_w(v)  = sum_{e at v} w_e t_e / (s_v (k_v - 1))
+
 Nodes of degree < 2 contribute 0 and are included in network means.
+Modularity sums weights over the edge arrays with a cross-community mask.
 """
 
 from __future__ import annotations
@@ -26,46 +34,67 @@ class ClusteringSummary:
     """Network means of the two local clustering coefficients."""
     mean_c_uw: float
     mean_c_w: float
-    per_node_uw: tuple[float, ...] | None = None
-    per_node_w: tuple[float, ...] | None = None
+
+
+def _triangles_per_edge(g: Graph) -> np.ndarray:
+    """Number of common neighbours of each edge's endpoints.
+
+    Each neighbour of an edge's lower-degree endpoint is looked up among the
+    other endpoint's links in the sorted CSR keys. Edges are taken in chunks
+    of at most 2m candidate lookups, so the working memory stays O(m).
+    """
+    u, v, _ = g.edge_arrays()
+    indptr, nbr, _ = g.csr()
+    n, deg = g.n, g.degrees
+    keys = np.repeat(np.arange(n), deg) * n + nbr  # ascending: CSR is sorted
+    x = np.where(deg[u] <= deg[v], u, v)
+    y = u + v - x
+    cand = deg[x]
+    ends = np.cumsum(cand)
+    t = np.zeros(u.size)
+    start = 0
+    while start < u.size:
+        # a single edge has at most m candidates, so every chunk advances
+        stop = int(np.searchsorted(ends, ends[start] - cand[start]
+                                   + 2 * u.size, side="right"))
+        c = cand[start:stop]
+        first = np.cumsum(c) - c
+        edge = np.repeat(np.arange(stop - start), c)
+        pos = np.arange(int(c.sum())) + np.repeat(indptr[x[start:stop]] - first, c)
+        query = y[start:stop][edge] * n + nbr[pos]
+        at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        t[start:stop] = np.bincount(edge, weights=keys[at] == query,
+                                    minlength=stop - start)
+        start = stop
+    return t
+
+
+def _local_clustering(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(C_uw, C_w) of every node."""
+    u, v, w = g.edge_arrays()
+    t = _triangles_per_edge(g)
+    n, k = g.n, g.degrees
+    closed = np.bincount(u, t, n) + np.bincount(v, t, n)
+    closed_w = np.bincount(u, w * t, n) + np.bincount(v, w * t, n)
+    wide = k > 1
+    c_uw = np.divide(closed, k * (k - 1), out=np.zeros(n), where=wide)
+    c_w = np.divide(closed_w, g.strengths * (k - 1), out=np.zeros(n), where=wide)
+    return c_uw, c_w
 
 
 def local_clustering_uw(g: Graph, v: int) -> float:
     """Unweighted local clustering coefficient of v (0 when degree < 2)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} outside [0,{g.n})")
-    nbrs = g.neighbor_map(v)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    closed = 0
-    for i in nbrs:
-        adj_i = g.neighbor_map(i)
-        if len(adj_i) < len(nbrs):
-            closed += sum(1 for j in adj_i if j > i and j in nbrs)
-        else:
-            closed += sum(1 for j in nbrs if j > i and j in adj_i)
-    return closed / (k * (k - 1) / 2)
+    g.check_node(v)
+    return float(_local_clustering(g)[0][v])
 
 
 def local_clustering_w(g: Graph, v: int) -> float:
     """Weighted local clustering coefficient of v (0 when degree < 2)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} outside [0,{g.n})")
-    nbrs = g.neighbor_map(v)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    num = 0.0
-    for i, w_vi in nbrs.items():
-        adj_i = g.neighbor_map(i)
-        for j, w_vj in nbrs.items():
-            if j > i and j in adj_i:
-                num += w_vi + w_vj
-    return num / (g.strength(v) * (k - 1))
+    g.check_node(v)
+    return float(_local_clustering(g)[1][v])
 
 
-def mean_clustering(g: Graph, keep_per_node: bool = False) -> ClusteringSummary:
+def mean_clustering(g: Graph) -> ClusteringSummary:
     """Arithmetic means of both local clustering coefficients over all nodes.
 
     Degree-0/1 nodes enter the mean with value 0; an edgeless graph therefore
@@ -73,14 +102,9 @@ def mean_clustering(g: Graph, keep_per_node: bool = False) -> ClusteringSummary:
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
-    c_uw = [local_clustering_uw(g, v) for v in range(g.n)]
-    c_w = [local_clustering_w(g, v) for v in range(g.n)]
-    return ClusteringSummary(
-        mean_c_uw=float(sum(c_uw) / g.n),
-        mean_c_w=float(sum(c_w) / g.n),
-        per_node_uw=tuple(c_uw) if keep_per_node else None,
-        per_node_w=tuple(c_w) if keep_per_node else None,
-    )
+    c_uw, c_w = _local_clustering(g)
+    return ClusteringSummary(mean_c_uw=float(c_uw.mean()),
+                             mean_c_w=float(c_w.mean()))
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -132,13 +156,11 @@ def modularity(g: Graph, p: Partition) -> float:
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
     w_total = g.total_weight
+    u, v, w = g.edge_arrays()
     m = p.membership
-    intra = np.zeros(p.community_count, dtype=np.float64)
-    for u, v, w in g.edges:
-        cu = m[u]
-        if cu == m[v]:
-            intra[cu] += w
-    s_c = np.zeros(p.community_count, dtype=np.float64)
-    np.add.at(s_c, m, g.strengths)
+    inside = m[u] == m[v]
+    intra = np.bincount(m[u][inside], weights=w[inside],
+                        minlength=p.community_count)
+    s_c = np.bincount(m, weights=g.strengths, minlength=p.community_count)
     q = intra / w_total - (s_c / (2.0 * w_total)) ** 2
     return float(q.sum())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import Graph
 from .metrics import mean_clustering
-from .seeds import check_seed, spawn_rng
+from .seeds import check_seed, derive_seed, spawn_rng
 
 MODEL_HEADER = "commselect-svm v1"
 
@@ -191,11 +191,6 @@ def train_binary(data: Sequence[tuple[FeatureVector, int]],
                      negative_class=negative_class)
 
 
-def _child_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(index,))
-               .generate_state(1, np.uint64)[0])
-
-
 def train_selector(dataset: Sequence[tuple[FeatureVector, ClassLabel]],
                    hyper: SvmHyper = SvmHyper(),
                    nmi_threshold: float = 0.6) -> SelectorModel:
@@ -222,7 +217,7 @@ def train_selector(dataset: Sequence[tuple[FeatureVector, ClassLabel]],
             (standardized[i], 1 if labels[i] == pos else -1)
             for i in range(len(dataset)) if labels[i] in (pos, neg)]
         svm = train_binary(
-            pair_data, replace(hyper, seed=_child_seed(hyper.seed, idx)),
+            pair_data, replace(hyper, seed=derive_seed(hyper.seed, idx)),
             positive_class=pos, negative_class=neg)
         svms.append(svm)
     return SelectorModel(svms=tuple(svms),

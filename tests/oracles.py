@@ -123,14 +123,37 @@ def nmi_reference(a, b):
     return 2 * info / (h_a + h_b)
 
 
+def _weight_table(g):
+    """{(a, b): w} over both orientations of every edge."""
+    table = {}
+    for u, v, w in g.edges:
+        table[(u, v)] = table[(v, u)] = w
+    return table
+
+
 def clustering_uw_reference(g, v):
     """Pair enumeration of Eq-style unweighted clustering."""
-    nbrs = [u for u, _ in g.neighbors(v)]
+    table = _weight_table(g)
+    nbrs = sorted(b for a, b in table if a == v)
     k = len(nbrs)
     if k < 2:
         return 0.0
-    closed = sum(1 for i, j in combinations(nbrs, 2) if g.has_edge(i, j))
+    closed = sum(1 for i, j in combinations(nbrs, 2) if (i, j) in table)
     return closed / (k * (k - 1) / 2)
+
+
+def clustering_w_reference(g, v):
+    """Pair enumeration of Barrat's weighted clustering,
+    sum over linked neighbour pairs i < j of (w_vi + w_vj), over s_v (k_v - 1)."""
+    table = _weight_table(g)
+    nbrs = sorted(b for a, b in table if a == v)
+    k = len(nbrs)
+    if k < 2:
+        return 0.0
+    strength = sum(table[(v, i)] for i in nbrs)
+    num = sum(table[(v, i)] + table[(v, j)]
+              for i, j in combinations(nbrs, 2) if (i, j) in table)
+    return num / (strength * (k - 1))
 
 
 def truncated_power_law_mean_reference(exponent, lo, hi):

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
-from commselect import (CopraConfig, Graph, LabelState, copra_detect,
-                        propagate_step, run_once, with_unit_weights)
+from commselect import (CopraConfig, Graph, copra_detect, propagate_step,
+                        run_once, with_unit_weights)
 from commselect.seeds import spawn_rng
 from conftest import build_complete, random_graph
 from oracles import brute_force_max_modularity
@@ -11,38 +12,35 @@ class TestPropagateStep:
     def test_strict_majority(self):
         # center 0 sees labels {5, 5, 7} -> 5
         g = Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-        state = LabelState(labels=(9, 5, 5, 7))
-        out = propagate_step(g, state, CopraConfig(weighted=False), spawn_rng(0))
-        assert out.labels[0] == 5
-        assert out.iteration == 1
+        labels = np.array([9, 5, 5, 7])
+        out, _ = propagate_step(g, labels, False, spawn_rng(0))
+        assert out[0] == 5
+        # one step returns new labels and leaves its input as it was
+        assert out is not labels and list(labels) == [9, 5, 5, 7]
 
     def test_weighted_support_wins(self):
         g = Graph(3, [(0, 1, 1.0), (0, 2, 5.0)])
-        state = LabelState(labels=(9, 3, 4))
-        out = propagate_step(g, state, CopraConfig(weighted=True), spawn_rng(0))
-        assert out.labels[0] == 4
+        out, _ = propagate_step(g, np.array([9, 3, 4]), True, spawn_rng(0))
+        assert out[0] == 4
 
     def test_unweighted_tie_is_uniform(self):
         g = Graph(3, [(0, 1, 1.0), (0, 2, 5.0)])
-        cfg = CopraConfig(weighted=False)
-        picks = [propagate_step(g, LabelState(labels=(9, 3, 4)), cfg,
-                                spawn_rng(s)).labels[0]
+        picks = [int(propagate_step(g, np.array([9, 3, 4]), False,
+                                    spawn_rng(s))[0][0])
                  for s in range(200)]
         counts = {lab: picks.count(lab) for lab in set(picks)}
         assert set(counts) == {3, 4}
         assert min(counts.values()) >= 60  # ~binomial(200, 1/2)
 
     def test_fixed_point_on_uniform_labels(self, two_k3):
-        state = LabelState(labels=(0, 0, 0, 1, 1, 1))
-        out = propagate_step(two_k3, state, CopraConfig(weighted=False),
-                             spawn_rng(1))
-        assert out.labels == (0, 0, 0, 1, 1, 1)
+        out, _ = propagate_step(two_k3, np.array([0, 0, 0, 1, 1, 1]), False,
+                                spawn_rng(1))
+        assert tuple(out) == (0, 0, 0, 1, 1, 1)
 
     def test_isolated_keeps_label(self):
         g = Graph(3, [(0, 1, 1.0)])
-        out = propagate_step(g, LabelState(labels=(4, 4, 8)),
-                             CopraConfig(weighted=False), spawn_rng(0))
-        assert out.labels[2] == 8
+        out, _ = propagate_step(g, np.array([4, 4, 8]), False, spawn_rng(0))
+        assert out[2] == 8
 
 
 class TestRunOnce:
@@ -81,14 +79,22 @@ class TestRunOnce:
         edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
                  (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
         edges += [(u, v, 3.0) for u in range(3) for v in range(3, 6)]
-        g = Graph(6, edges)
-        for s in range(20):
-            p = run_once(g, CopraConfig(weighted=True), spawn_rng(s))
-            for v in range(g.n):
-                support = {}
-                for u, w in g.neighbors(v):
-                    support[p[u]] = support.get(p[u], 0.0) + w
-                assert support.get(p[v], 0.0) == max(support.values()), (s, v)
+        # an unweighted ring keeps rolling ties, so a small cap stops the
+        # synchronous phase away from any fixed point
+        ring = Graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
+        cases = [(Graph(6, edges), CopraConfig(weighted=True))]
+        cases += [(ring, CopraConfig(weighted=False, max_iters=k))
+                  for k in (1, 3)]
+        for g, cfg in cases:
+            for s in range(20):
+                p = run_once(g, cfg, spawn_rng(s))
+                for v in range(g.n):
+                    support = {}
+                    for u, w in g.neighbors(v):
+                        w = w if cfg.weighted else 1.0
+                        support[p[u]] = support.get(p[u], 0.0) + w
+                    assert support.get(p[v], 0.0) == max(support.values()), \
+                        (cfg, s, v)
 
 
 class TestDetect:
@@ -127,5 +133,3 @@ class TestDetect:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CopraConfig(runs=0)
-        with pytest.raises(ValueError, match="v_max"):
-            CopraConfig(v_max=2)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from commselect import (Graph, Partition, node_stats, parse_edge_list,
-                        parse_partition, with_unit_weights, write_edge_list,
-                        write_partition)
+from commselect import (Graph, Partition, parse_edge_list, parse_partition,
+                        with_unit_weights, write_edge_list, write_partition)
 from conftest import build_complete, build_star, random_graph
 
 
@@ -47,20 +46,22 @@ class TestNodeStats:
     def test_triangle(self):
         g = build_complete(3)
         for v in range(3):
-            assert node_stats(g, v) == (2, 2.0)
+            assert (g.degree(v), g.strength(v)) == (2, 2.0)
 
     def test_star_center(self):
         g = build_star(3, weights=[1.0, 2.0, 3.0])
-        assert node_stats(g, 0) == (3, 6.0)
+        assert (g.degree(0), g.strength(0)) == (3, 6.0)
 
     def test_isolated(self):
         g = Graph(3, [(0, 1, 1.0)])
-        assert node_stats(g, 2) == (0, 0.0)
+        assert (g.degree(2), g.strength(2)) == (0, 0.0)
 
     def test_out_of_range(self):
         g = build_complete(3)
         with pytest.raises(ValueError):
-            node_stats(g, 3)
+            g.degree(3)
+        with pytest.raises(ValueError):
+            g.strength(3)
 
 
 class TestUnitWeights:

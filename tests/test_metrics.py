@@ -75,10 +75,15 @@ class TestMeanClustering:
         assert s.mean_c_uw == pytest.approx(7 / 9)
         assert s.mean_c_w == pytest.approx(7 / 9)
 
-    def test_per_node_retained_on_request(self):
-        s = mean_clustering(build_complete(3), keep_per_node=True)
-        assert s.per_node_uw == (1.0, 1.0, 1.0)
-        assert len(s.per_node_w) == 3
+    def test_mean_of_local_values(self):
+        g = build_complete(3)
+        s = mean_clustering(g)
+        per_node_uw = tuple(local_clustering_uw(g, v) for v in range(g.n))
+        per_node_w = tuple(local_clustering_w(g, v) for v in range(g.n))
+        assert per_node_uw == (1.0, 1.0, 1.0)
+        assert len(per_node_w) == 3
+        assert (s.mean_c_uw, s.mean_c_w) == (sum(per_node_uw) / 3,
+                                             sum(per_node_w) / 3)
 
 
 class TestNMI:

@@ -13,8 +13,9 @@ import pytest
 from commselect import (CopraConfig, GenParams, Graph, InfomapConfig,
                         Partition, copra_detect, generate, infomap_detect,
                         local_clustering_uw, local_clustering_w, map_equation,
-                        modularity, nmi)
+                        mean_clustering, modularity, nmi)
 from conftest import random_graph
+from oracles import clustering_uw_reference, clustering_w_reference
 
 CASES = 500
 
@@ -114,3 +115,124 @@ def test_generator_determinism():
         assert a.truth == b.truth
         assert (a.achieved_mu_t, a.achieved_mu_w) == \
             (b.achieved_mu_t, b.achieved_mu_w)
+
+
+def scrambled_edges(rng, g):
+    """g's edge triples in random order, each in a random orientation."""
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
+             for u, v, w in g.edges]
+    return [edges[i] for i in rng.permutation(len(edges))]
+
+
+def test_graph_storage_agrees_with_edges():
+    """The edge arrays are sorted u < v pairs, the CSR rows list each node's
+    neighbours in ascending order, and both agree with ``edges``; strengths
+    and the total weight equal sums taken one weight at a time."""
+    for case in range(CASES):
+        rng = case_rng(6, case)
+        g0 = random_graph(rng, int(rng.integers(1, 16)),
+                          p=float(rng.uniform(0.0, 1.0)), ensure_edge=False)
+        n = g0.n + int(rng.integers(0, 3))  # trailing isolated nodes
+        g = Graph(n, scrambled_edges(rng, g0))
+        u, v, w = g.edge_arrays()
+        assert (u < v).all()
+        keys = u * n + v
+        assert (np.diff(keys) > 0).all()
+        assert g.edges == tuple(zip(u.tolist(), v.tolist(), w.tolist()))
+        assert g.edges == g0.edges
+        indptr, nbr, wt = g.csr()
+        assert indptr[0] == 0 and np.array_equal(np.diff(indptr), g.degrees)
+        weight = {}
+        for a, b, x in g.edges:
+            weight[(a, b)] = weight[(b, a)] = x
+        total = 0.0
+        for a, b, x in g.edges:
+            total += x
+        assert g.total_weight == total
+        for node in range(n):
+            row = nbr[indptr[node]:indptr[node + 1]]
+            assert (np.diff(row) > 0).all()
+            expected = tuple((b, weight[(node, b)])
+                             for b in sorted(b for a, b in weight if a == node))
+            assert g.neighbors(node) == expected
+            assert tuple(wt[indptr[node]:indptr[node + 1]]) == \
+                tuple(x for _, x in expected)
+            strength = 0.0
+            for _, x in expected:
+                strength += x
+            assert g.strengths[node] == strength
+
+
+def test_clustering_matches_brute_force():
+    """Both local clustering coefficients equal the pair enumeration of
+    their definitions, on sparse to complete graphs; the dense ones need
+    several chunks of candidate lookups."""
+    several_chunks = 0
+    for case in range(CASES):
+        rng = case_rng(7, case)
+        g = random_graph(rng, int(rng.integers(1, 15)),
+                         p=float(rng.uniform(0.05, 1.0)), ensure_edge=False)
+        u, v, _ = g.edge_arrays()
+        candidates = np.minimum(g.degrees[u], g.degrees[v]).sum()
+        several_chunks += bool(candidates > 4 * g.edge_count)
+        c_uw = [local_clustering_uw(g, x) for x in range(g.n)]
+        c_w = [local_clustering_w(g, x) for x in range(g.n)]
+        for x in range(g.n):
+            assert c_uw[x] == pytest.approx(clustering_uw_reference(g, x),
+                                            rel=1e-12, abs=0.0)
+            assert c_w[x] == pytest.approx(clustering_w_reference(g, x),
+                                           rel=1e-12, abs=0.0)
+            if g.degrees[x] < 2:
+                assert c_uw[x] == c_w[x] == 0.0
+        summary = mean_clustering(g)
+        assert summary.mean_c_uw == pytest.approx(np.mean(c_uw), abs=1e-15)
+        assert summary.mean_c_w == pytest.approx(np.mean(c_w), abs=1e-15)
+    assert several_chunks >= CASES // 4
+
+
+def test_clustering_and_modularity_match_networkx():
+    """networkx ``average_clustering`` and ``modularity`` as outside
+    oracles."""
+    nx = pytest.importorskip("networkx")
+    for case in range(CASES):
+        rng = case_rng(8, case)
+        g = random_graph(rng, int(rng.integers(2, 15)),
+                         p=float(rng.uniform(0.1, 1.0)))
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_weighted_edges_from(g.edges)
+        assert mean_clustering(g).mean_c_uw == pytest.approx(
+            nx.average_clustering(h), abs=1e-12)
+        p = Partition.from_labels(rng.integers(0, 3, size=g.n))
+        groups = [set(members) for members in p.members()]
+        assert modularity(g, p) == pytest.approx(
+            nx.community.modularity(h, groups, weight="weight"), abs=1e-12)
+
+
+def test_graph_rejects_bad_edges():
+    """A self-loop, an out-of-range id, a non-positive or NaN weight, or a
+    pair given twice in either orientation is rejected with a message naming
+    it. The edges around the bad one are valid, so it is the only fault; a
+    duplicate is named the same whichever copy comes first."""
+    for case in range(CASES):
+        rng = case_rng(9, case)
+        g = random_graph(rng, int(rng.integers(3, 12)), p=0.5)
+        edges = scrambled_edges(rng, g)
+        a, b, x = edges[int(rng.integers(len(edges)))]
+        kind = int(rng.integers(5))
+        if kind == 0:
+            bad, message = (a, a, x), f"self-loop on node {a}"
+        elif kind == 1:
+            c = int(rng.choice([-1, g.n, g.n + 7]))
+            bad = (a, c, x) if rng.random() < 0.5 else (c, a, x)
+            message = f"edge ({bad[0]},{bad[1]}) outside node range [0,{g.n})"
+        elif kind == 2:
+            y = float(rng.choice([0.0, -1.5, np.nan]))
+            bad, message = (a, b, y), f"non-positive weight {y} on edge ({a},{b})"
+        else:
+            bad = (b, a, 2.0 * x) if kind == 3 else (a, b, x)
+            message = f"duplicate edge ({min(a, b)},{max(a, b)})"
+        at = int(rng.integers(len(edges) + 1))
+        with pytest.raises(ValueError) as err:
+            Graph(g.n, edges[:at] + [bad] + edges[at:])
+        assert str(err.value) == message
