@@ -20,6 +20,14 @@ random. Every change strictly raises the weight of links inside labels, so
 the sweeps cannot cycle. All draws come from the run's own stream, so a run is
 a pure function of its seed. Nodes left sharing a label without being
 connected are split into separate communities at the end.
+
+A synchronous step works on the m (node, neighbour label) pairs of the
+adjacency, not on an n x (max label + 1) table, so it takes O(m) memory plus
+one fixed-size block of random keys. Its tie keys are still the entries of
+one ``rng.random((n, max label + 1))`` draw per step: only the entries at
+tied (node, label) pairs are read, block by block, and the generator is
+moved past the rest (PCG64 is advanced without drawing), so every run returns
+what the dense table would give.
 """
 
 from __future__ import annotations
@@ -49,24 +57,106 @@ class CopraConfig:
             raise ValueError("max_iters must be >= 1")
 
 
+# tie keys are read from the stream of rng.random((n, width)) in pieces of
+# at most this many doubles, so a step's memory stays O(m + _KEY_BLOCK)
+_KEY_BLOCK = 1 << 16
+
+
+def _skip_doubles(rng, count: int) -> None:
+    """Move ``rng`` past ``count`` doubles of ``rng.random`` without keeping
+    them."""
+    bits = rng.bit_generator
+    # the PCG64 generators take one state step per double; advance() drops
+    # a buffered 32-bit half word, so it is only used when none is held
+    if (isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
+            and not bits.state["has_uint32"]):
+        bits.advance(count)
+        return
+    for start in range(0, count, _KEY_BLOCK):
+        rng.random(min(_KEY_BLOCK, count - start))
+
+
+def _stream_at(rng, total: int, pos: np.ndarray) -> np.ndarray:
+    """Values of ``rng.random(total)`` at the ascending positions ``pos``,
+    leaving ``rng`` where that draw would have."""
+    out = np.empty(pos.size)
+    done = 0
+    if pos.size:
+        block = pos // _KEY_BLOCK
+        cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, pos.size]):
+            first, last = int(pos[lo]), int(pos[hi - 1])
+            _skip_doubles(rng, first - done)
+            out[lo:hi] = rng.random(last - first + 1)[pos[lo:hi] - first]
+            done = last + 1
+    _skip_doubles(rng, total - done)
+    return out
+
+
+def _group_starts(sorted_ids: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    head = np.empty(sorted_ids.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
+def _group_sizes(start: np.ndarray, total: int) -> np.ndarray:
+    """Length of each run, from the runs' ``start`` indices."""
+    sizes = np.empty_like(start)
+    np.subtract(start[1:], start[:-1], out=sizes[:-1])
+    sizes[-1:] = total - start[-1:]
+    return sizes
+
+
 def propagate_step(g: Graph, labels: np.ndarray, weighted: bool,
                    rng) -> tuple[np.ndarray, bool]:
     """One synchronous update of the per-node ``labels``; returns (new labels,
-    whether a tie was rolled). Isolated nodes keep their label."""
+    whether a node with links had a tie to roll). Isolated nodes keep their
+    label.
+
+    Support is summed over the m (node, neighbour label) pairs, sorted stably
+    so each sum adds its links in adjacency order. A tie is broken by the
+    largest key among the tied labels, where node v's key for label l is
+    entry (v, l) of ``rng.random((n, max label + 1))``; only the tied entries
+    are read, piece by piece, but the stream always moves past the whole
+    table.
+    """
     n = g.n
-    indptr, nbr, wt = g.csr()
-    rows = np.repeat(np.arange(n), g.degrees)
-    vals = wt if weighted else np.ones(nbr.size)
+    _, nbr, wt = g.csr()
     width = int(labels.max()) + 1 if labels.size else 1
-    support = np.bincount(rows * width + labels[nbr], weights=vals,
-                          minlength=n * width).reshape(n, width)
-    peak = support.max(axis=1)
-    at_peak = support == peak[:, None]
-    tie_rolled = bool((at_peak.sum(axis=1) > 1).any())
-    # uniform choice among tied labels via random keys
-    keys = np.where(at_peak, rng.random((n, width)), -1.0)
-    new = np.where(g.degrees == 0, labels, keys.argmax(axis=1))
-    return new, tie_rolled
+    # pair id v * width + label: its position in the (n, width) key table
+    pair = np.repeat(np.arange(0, n * width, width), g.degrees) + labels[nbr]
+    shift = nbr.size.bit_length()
+    if (n * width) >> (63 - shift) == 0:
+        # a stable sort as one int64 sort: each id carries its index below
+        key = np.sort((pair << shift) | np.arange(nbr.size))
+        order, pair = key & ((1 << shift) - 1), key >> shift
+    else:
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+    start = _group_starts(pair)
+    ids, support = pair[start], _group_sizes(start, pair.size)
+    if weighted:
+        # bincount adds in input order: each label's links in adjacency order
+        support = np.bincount(np.repeat(np.arange(ids.size), support),
+                              weights=wt[order])
+    node = ids // width
+    node_start = _group_starts(node)
+    peak = np.maximum.reduceat(support, node_start)
+    at_peak = support == np.repeat(peak, _group_sizes(node_start, ids.size))
+    n_peak = np.add.reduceat(at_peak, node_start)
+    cand, cand_node = ids[at_peak], node[at_peak]
+    tied = np.repeat(n_peak > 1, n_peak)
+    keys = np.zeros(cand.size)
+    keys[tied] = _stream_at(rng, n * width, cand[tied])
+    # per node, the first (lowest-label) candidate with the largest key
+    best = np.maximum.reduceat(keys, np.cumsum(n_peak) - n_peak)
+    won = np.flatnonzero(keys == np.repeat(best, n_peak))
+    won = won[_group_starts(cand_node[won])]
+    new = labels.copy()
+    new[cand_node[won]] = cand[won] - cand_node[won] * width
+    return new, bool(tied.any())
 
 
 def _settle(g: Graph, labels: np.ndarray, weighted: bool, max_sweeps: int,

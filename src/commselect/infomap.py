@@ -5,7 +5,10 @@ walk under a two-level codebook (one index codebook across modules, one
 codebook per module). On an undirected graph the walk's stationary visit rate
 of a node is its strength over twice the total edge weight, so the code length
 has a closed form and the search reduces to minimising it. The optimizer is
-greedy node moving with agglomeration and seeded random restarts.
+greedy node moving with agglomeration and seeded random restarts. Node
+moving keeps each module's plogp terms between moves and refreshes only the
+two modules a move touches; a node whose neighbours all share its module is
+passed over without evaluating any move.
 """
 
 from __future__ import annotations
@@ -104,28 +107,35 @@ def _level_from_graph(g: Graph) -> _Level:
 
 
 def _local_move(level: _Level, rng, tol: float) -> list[int]:
-    """One level of greedy node moving; returns the module of each node."""
+    """One level of greedy node moving; returns the module of each node.
+
+    plogp(q_m) and plogp(q_m + p_m) of every module, and plogp of the summed
+    exit rate, are kept between moves (``plp_q``, ``plp_qp``, ``plp_sum_q``)
+    and refreshed where a move changes them, so each delta adds the same
+    terms in the same order as when every one is computed afresh.
+    """
     n = level.n
     module = list(range(n))
     q_mod = list(level.out_rate)
     p_mod = list(level.rate)
     sum_q = sum(q_mod)
     plp = _plogp
+    plp_q = [plp(q) for q in q_mod]
+    plp_qp = [plp(q + p) for q, p in zip(q_mod, p_mod)]
+    plp_sum_q = plp(sum_q)
 
     moved_any = True
     while moved_any:
         moved_any = False
-        for v in rng.permutation(n):
-            v = int(v)
+        for v in rng.permutation(n).tolist():
             a = module[v]
-            links = level.adj[v]
-            if not links:
-                continue
             # rate flowing from v to each adjacent module
             to_mod: dict[int, float] = {}
-            for u, w in links.items():
+            for u, w in level.adj[v].items():
                 cu = module[u]
                 to_mod[cu] = to_mod.get(cu, 0.0) + w
+            if to_mod.keys() <= {a}:
+                continue  # no other module to move to
             d_v = level.out_rate[v]
             p_v = level.rate[v]
             k_va = to_mod.get(a, 0.0)
@@ -133,8 +143,8 @@ def _local_move(level: _Level, rng, tol: float) -> list[int]:
             q_a_new = q_a - d_v + 2.0 * k_va
             # module-rate terms use q_m + p_m: the module codebook is read
             # once per exit as well as once per node visit
-            base_a = (-2.0 * (plp(q_a_new) - plp(q_a))
-                      + plp(q_a_new + p_a - p_v) - plp(q_a + p_a))
+            base_a = (-2.0 * (plp(q_a_new) - plp_q[a])
+                      + plp(q_a_new + p_a - p_v) - plp_qp[a])
             best_gain = -tol
             best_mod = a
             for b, k_vb in sorted(to_mod.items()):
@@ -143,10 +153,10 @@ def _local_move(level: _Level, rng, tol: float) -> list[int]:
                 q_b, p_b = q_mod[b], p_mod[b]
                 q_b_new = q_b + d_v - 2.0 * k_vb
                 sum_q_new = sum_q + 2.0 * (k_va - k_vb)
-                delta = (plp(sum_q_new) - plp(sum_q)
+                delta = (plp(sum_q_new) - plp_sum_q
                          + base_a
-                         - 2.0 * (plp(q_b_new) - plp(q_b))
-                         + plp(q_b_new + p_b + p_v) - plp(q_b + p_b))
+                         - 2.0 * (plp(q_b_new) - plp_q[b])
+                         + plp(q_b_new + p_b + p_v) - plp_qp[b])
                 if delta < best_gain:
                     best_gain = delta
                     best_mod = b
@@ -158,6 +168,10 @@ def _local_move(level: _Level, rng, tol: float) -> list[int]:
                 q_mod[b] = q_mod[b] + d_v - 2.0 * k_vb
                 p_mod[b] = p_mod[b] + p_v
                 sum_q = sum_q + 2.0 * (k_va - k_vb)
+                for c in (a, b):
+                    plp_q[c] = plp(q_mod[c])
+                    plp_qp[c] = plp(q_mod[c] + p_mod[c])
+                plp_sum_q = plp(sum_q)
                 module[v] = b
                 moved_any = True
     return module

@@ -438,10 +438,6 @@ class _EdgePool:
                 bad.append(i)
         return bad
 
-    def cross_fraction(self):
-        cross = sum(1 for i in range(len(self.records)) if self.is_cross(i))
-        return cross / len(self.records) if self.records else 0.0
-
 
 def _stub_match(stubs, rng):
     stubs = np.array(stubs, dtype=np.int64)

@@ -3,7 +3,10 @@
 Everything here is written straight from definitions with no code shared
 with the package internals: exhaustive partition enumeration, the map
 equation in raw entropy form, modularity as the full double sum, and NMI via
-an explicit contingency table.
+an explicit contingency table. The two detector inner loops are kept here in
+their plain forms (a dense label-support table for the label-propagation
+step, every code-length term recomputed for each Infomap move), so that the
+optimised loops can be required to return exactly the same results.
 """
 
 import math
@@ -160,3 +163,87 @@ def truncated_power_law_mean_reference(exponent, lo, hi):
     num = sum(x * x ** -exponent for x in range(lo, hi + 1))
     den = sum(x ** -exponent for x in range(lo, hi + 1))
     return num / den
+
+
+def propagate_step_reference(g, labels, weighted, rng):
+    """Synchronous label-propagation step over dense (n, max label + 1)
+    support and tie-key tables. Ties are broken by the largest key of
+    ``rng.random((n, width))`` among the tied labels. The tie flag is also
+    raised by isolated nodes (their all-zero support row reads as a tie)."""
+    n = g.n
+    indptr, nbr, wt = g.csr()
+    rows = np.repeat(np.arange(n), g.degrees)
+    vals = wt if weighted else np.ones(nbr.size)
+    width = int(labels.max()) + 1 if labels.size else 1
+    support = np.bincount(rows * width + labels[nbr], weights=vals,
+                          minlength=n * width).reshape(n, width)
+    peak = support.max(axis=1)
+    at_peak = support == peak[:, None]
+    tie_rolled = bool((at_peak.sum(axis=1) > 1).any())
+    keys = np.where(at_peak, rng.random((n, width)), -1.0)
+    new = np.where(g.degrees == 0, labels, keys.argmax(axis=1))
+    return new, tie_rolled
+
+
+def _plogp(x):
+    return x * math.log(x) / math.log(2.0) if x > 0.0 else 0.0
+
+
+def local_move_reference(level, rng, tol):
+    """Greedy map-equation node moving on an Infomap working level (``n``,
+    ``adj`` as per-node {neighbour: rate} dicts, ``rate``, ``out_rate``),
+    recomputing every plogp term of each candidate move's code-length
+    change; returns the module of each node."""
+    n = level.n
+    module = list(range(n))
+    q_mod = list(level.out_rate)
+    p_mod = list(level.rate)
+    sum_q = sum(q_mod)
+    plp = _plogp
+
+    moved_any = True
+    while moved_any:
+        moved_any = False
+        for v in rng.permutation(n):
+            v = int(v)
+            a = module[v]
+            links = level.adj[v]
+            if not links:
+                continue
+            to_mod = {}
+            for u, w in links.items():
+                cu = module[u]
+                to_mod[cu] = to_mod.get(cu, 0.0) + w
+            d_v = level.out_rate[v]
+            p_v = level.rate[v]
+            k_va = to_mod.get(a, 0.0)
+            q_a, p_a = q_mod[a], p_mod[a]
+            q_a_new = q_a - d_v + 2.0 * k_va
+            base_a = (-2.0 * (plp(q_a_new) - plp(q_a))
+                      + plp(q_a_new + p_a - p_v) - plp(q_a + p_a))
+            best_gain = -tol
+            best_mod = a
+            for b, k_vb in sorted(to_mod.items()):
+                if b == a:
+                    continue
+                q_b, p_b = q_mod[b], p_mod[b]
+                q_b_new = q_b + d_v - 2.0 * k_vb
+                sum_q_new = sum_q + 2.0 * (k_va - k_vb)
+                delta = (plp(sum_q_new) - plp(sum_q)
+                         + base_a
+                         - 2.0 * (plp(q_b_new) - plp(q_b))
+                         + plp(q_b_new + p_b + p_v) - plp(q_b + p_b))
+                if delta < best_gain:
+                    best_gain = delta
+                    best_mod = b
+            if best_mod != a:
+                b = best_mod
+                k_vb = to_mod[b]
+                q_mod[a] = q_a - d_v + 2.0 * k_va
+                p_mod[a] = p_a - p_v
+                q_mod[b] = q_mod[b] + d_v - 2.0 * k_vb
+                p_mod[b] = p_mod[b] + p_v
+                sum_q = sum_q + 2.0 * (k_va - k_vb)
+                module[v] = b
+                moved_any = True
+    return module

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,18 @@ from oracles import brute_force_max_modularity
 
 class TestPropagateStep:
     def test_strict_majority(self):
-        # center 0 sees labels {5, 5, 7} -> 5
+        # center 0 sees labels {5, 7, 5} -> 5; label values near 2^60 make
+        # the step sort its pairs without packing them into one integer
         g = Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-        labels = np.array([9, 5, 5, 7])
-        out, _ = propagate_step(g, labels, False, spawn_rng(0))
-        assert out[0] == 5
-        # one step returns new labels and leaves its input as it was
-        assert out is not labels and list(labels) == [9, 5, 5, 7]
+        for offset in (0, 2 ** 60):
+            labels = np.array([9, 5, 7, 5]) + offset
+            out, _ = propagate_step(g, labels, False, spawn_rng(0))
+            assert out[0] == 5 + offset
+            assert list(out[1:]) == [9 + offset] * 3
+            # one step returns new labels and leaves its input as it was
+            assert out is not labels
+            assert list(labels) == [9 + offset, 5 + offset, 7 + offset,
+                                    5 + offset]
 
     def test_weighted_support_wins(self):
         g = Graph(3, [(0, 1, 1.0), (0, 2, 5.0)])
@@ -38,9 +45,31 @@ class TestPropagateStep:
         assert tuple(out) == (0, 0, 0, 1, 1, 1)
 
     def test_isolated_keeps_label(self):
-        g = Graph(3, [(0, 1, 1.0)])
-        out, _ = propagate_step(g, np.array([4, 4, 8]), False, spawn_rng(0))
-        assert out[2] == 8
+        # an isolated node has no tie to roll, whatever its label
+        cases = [(Graph(3, [(0, 1, 1.0)]), [4, 4, 8]),
+                 (Graph(4, [(0, 1, 1.0), (1, 2, 1.0)]), [0, 0, 0, 3])]
+        for g, labels in cases:
+            out, tie = propagate_step(g, np.array(labels), False, spawn_rng(0))
+            assert out[-1] == labels[-1]
+            assert not tie
+
+    def test_memory_is_linear_in_links(self):
+        # ring lattice at n=10^4 with unique labels: every node ties, and a
+        # dense (n, n) key table alone would take 763 MiB
+        n = 10_000
+        g = Graph(n, [(v, (v + d) % n, 1.0) for v in range(n)
+                      for d in (1, 2, 3)])
+        labels = np.arange(n)
+        tracemalloc.start()
+        try:
+            out, tie = propagate_step(g, labels, False, spawn_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert tie
+        offset = (out - labels) % n
+        assert np.isin(offset, [1, 2, 3, n - 3, n - 2, n - 1]).all()
 
 
 class TestRunOnce:

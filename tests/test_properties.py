@@ -2,20 +2,24 @@
 
     pytest tests/test_properties.py
 
-Each suite draws at least 500 seeded cases. Weight-scale checks use
-power-of-two factors for the bit-identical detector assertions (exact in
-floating point) and general factors for the metric tolerances.
+Each suite draws at least 500 seeded cases, except the comparison of whole
+detector runs with their reference inner loops, which takes three generated
+n=100 networks. Weight-scale checks use power-of-two factors for the
+bit-identical detector assertions (exact in floating point) and general
+factors for the metric tolerances.
 """
 
 import numpy as np
 import pytest
 
 from commselect import (CopraConfig, GenParams, Graph, InfomapConfig,
-                        Partition, copra_detect, generate, infomap_detect,
-                        local_clustering_uw, local_clustering_w, map_equation,
-                        mean_clustering, modularity, nmi)
+                        Partition, copra, copra_detect, generate, infomap,
+                        infomap_detect, local_clustering_uw,
+                        local_clustering_w, map_equation, mean_clustering,
+                        modularity, nmi)
 from conftest import random_graph
-from oracles import clustering_uw_reference, clustering_w_reference
+from oracles import (clustering_uw_reference, clustering_w_reference,
+                     local_move_reference, propagate_step_reference)
 
 CASES = 500
 
@@ -236,3 +240,93 @@ def test_graph_rejects_bad_edges():
         with pytest.raises(ValueError) as err:
             Graph(g.n, edges[:at] + [bad] + edges[at:])
         assert str(err.value) == message
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937)
+
+
+def same_stream_position(a, b) -> bool:
+    """Whether two generators go on to draw the same values, including a
+    buffered 32-bit half word."""
+    return (np.array_equal(a.integers(0, 2 ** 31, size=3),
+                           b.integers(0, 2 ** 31, size=3))
+            and np.array_equal(a.random(3), b.random(3)))
+
+
+def test_propagate_step_matches_dense_reference(monkeypatch):
+    """The sparse step returns the dense reference's labels and leaves the
+    generator where the reference does, for PCG64 (skipped by advancing),
+    other bit generators (skipped by drawing) and a generator holding a
+    buffered half word; both raise the tie flag alike on graphs without
+    isolated nodes. Small key blocks make many tied cases span several."""
+    tied = several_pieces = 0
+    for case in range(CASES):
+        rng = case_rng(10, case)
+        block = int(rng.choice([1, 3, 16, 1 << 16]))
+        monkeypatch.setattr(copra, "_KEY_BLOCK", block)
+        n = int(rng.integers(1, 40))
+        g = random_graph(rng, n, p=float(rng.uniform(0.02, 0.9)),
+                         weighted=bool(rng.integers(2)), ensure_edge=False)
+        if rng.random() < 0.5:  # weights that tie on sums
+            g = Graph(n, [(u, v, float(rng.choice([0.5, 1.0, 1.5])))
+                          for u, v, _ in g.edges])
+        labels = rng.integers(0, int(rng.integers(1, 3 * n + 2)), size=n)
+        weighted = bool(rng.integers(2))
+        bits = BIT_GENERATORS[case % len(BIT_GENERATORS)]
+        seed = int(rng.integers(2 ** 32))
+        ref_rng = np.random.Generator(bits(seed))
+        new_rng = np.random.Generator(bits(seed))
+        if rng.random() < 0.25:
+            ref_rng.integers(10)
+            new_rng.integers(10)
+        want, want_tie = propagate_step_reference(g, labels, weighted, ref_rng)
+        got, tie = copra.propagate_step(g, labels, weighted, new_rng)
+        assert np.array_equal(got, want), case
+        assert same_stream_position(ref_rng, new_rng), case
+        if (g.degrees > 0).all():
+            assert tie == want_tie, case
+        tied += tie
+        several_pieces += tie and n * (int(labels.max()) + 1) > 2 * block
+    assert tied >= CASES // 4
+    assert several_pieces >= CASES // 8
+
+
+def test_local_move_matches_reference():
+    """Infomap's node moving with cached module terms returns the module
+    lists of the reference that recomputes every term, on base levels and
+    on contracted ones, and draws the same visiting orders."""
+    for case in range(CASES):
+        rng = case_rng(11, case)
+        g = random_graph(rng, int(rng.integers(2, 30)),
+                         p=float(rng.uniform(0.05, 0.7)),
+                         weighted=bool(rng.integers(2)))
+        level = infomap._level_from_graph(g)
+        if rng.random() < 0.3:
+            module = infomap._local_move(level, rng, 1e-10)
+            if len(set(module)) < level.n:
+                level, _ = infomap._contract(level, module)
+        tol = float(rng.choice([1e-10, 1e-3]))
+        seed = int(rng.integers(2 ** 32))
+        ref_rng = np.random.default_rng(seed)
+        new_rng = np.random.default_rng(seed)
+        assert infomap._local_move(level, new_rng, tol) == \
+            local_move_reference(level, ref_rng, tol), case
+        assert same_stream_position(ref_rng, new_rng), case
+
+
+def test_detectors_match_reference_loops(monkeypatch):
+    """Both detectors, weighted and unweighted, return the same partitions
+    on generated n=100 networks with the reference inner loops swapped
+    in."""
+    copra_cfgs = [CopraConfig(seed=7, weighted=w) for w in (True, False)]
+    info_cfgs = [InfomapConfig(seed=7, weighted=w) for w in (True, False)]
+    for mu_t, mu_w in ((0.2, 0.2), (0.5, 0.3), (0.7, 0.7)):
+        g = generate(GenParams(n=100, mu_t=mu_t, mu_w=mu_w, seed=11)).graph
+        got = ([copra_detect(g, cfg) for cfg in copra_cfgs]
+               + [infomap_detect(g, cfg) for cfg in info_cfgs])
+        with monkeypatch.context() as patch:
+            patch.setattr(copra, "propagate_step", propagate_step_reference)
+            patch.setattr(infomap, "_local_move", local_move_reference)
+            want = ([copra_detect(g, cfg) for cfg in copra_cfgs]
+                    + [infomap_detect(g, cfg) for cfg in info_cfgs])
+        assert got == want, (mu_t, mu_w)
