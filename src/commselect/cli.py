@@ -11,6 +11,7 @@ dashes); explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -69,56 +70,52 @@ def _add_config_flag(p):
                    help="key=value file supplying defaults for any option")
 
 
+# help for each generator flag; "(default ...)" is added from GenParams,
+# except for the fields whose defaults resolve from other fields
+_GEN_HELP = {
+    "n": "node count",
+    "mu_t": "topological mixing in [0,1]",
+    "mu_w": "weight mixing in [0,1]",
+    "avg_k": "target mean degree",
+    "tau1": "degree power-law exponent",
+    "tau2": "community-size power-law exponent",
+    "beta": "strength exponent",
+    "k_max": "maximum degree (default n/2)",
+    "s_min": "minimum community size (default max(2, avg_k/2))",
+    "s_max": "maximum community size (default n/2)",
+    "mix_tolerance": "allowed |achieved - target| on mu_t",
+}
+# GenParams requires n; the command line defaults it
+_CLI_DEFAULTS = {"n": 100}
+
+
+def _gen_fields(with_mixing):
+    """(field, default, type) of each GenParams field set by a flag."""
+    for fld in dataclasses.fields(GenParams):
+        if fld.name == "seed" or (not with_mixing and fld.name.startswith("mu_")):
+            continue
+        default = _CLI_DEFAULTS.get(fld.name, fld.default)
+        yield (fld.name, None if default is dataclasses.MISSING else default,
+               int if "int" in str(fld.type) else float)
+
+
 def _add_gen_params(p, with_mixing=True):
-    p.add_argument("--n", type=int, help="node count (default 100)")
-    if with_mixing:
-        p.add_argument("--mu-t", type=float, dest="mu_t",
-                       help="topological mixing in [0,1]")
-        p.add_argument("--mu-w", type=float, dest="mu_w",
-                       help="weight mixing in [0,1]")
-    p.add_argument("--avg-k", type=float, dest="avg_k",
-                   help="target mean degree (default 25)")
-    p.add_argument("--tau1", type=float, help="degree power-law exponent (default 2)")
-    p.add_argument("--tau2", type=float,
-                   help="community-size power-law exponent (default 1)")
-    p.add_argument("--beta", type=float, help="strength exponent (default 1.5)")
-    p.add_argument("--k-max", type=int, dest="k_max",
-                   help="maximum degree (default n/2)")
-    p.add_argument("--s-min", type=int, dest="s_min",
-                   help="minimum community size (default max(2, avg_k/2))")
-    p.add_argument("--s-max", type=int, dest="s_max",
-                   help="maximum community size (default n/2)")
-    p.add_argument("--mix-tolerance", type=float, dest="mix_tolerance",
-                   help="allowed |achieved - target| on mu_t (default 0.02)")
-    p.add_argument("--max-rewire-sweeps", type=int, dest="max_rewire_sweeps",
-                   help="rewiring iteration cap (default 200)")
+    for name, default, cast in _gen_fields(with_mixing):
+        text = _GEN_HELP[name]
+        if default is not None:
+            text += f" (default {default:g})"
+        p.add_argument("--" + name.replace("_", "-"), type=cast, dest=name,
+                       help=text)
 
 
 def _gen_params_from(res: _Resolver, with_mixing=True, seed=0) -> GenParams:
-    kwargs = dict(
-        n=res.get("n", 100, int),
-        avg_k=res.get("avg_k", 25.0, float),
-        tau1=res.get("tau1", 2.0, float),
-        tau2=res.get("tau2", 1.0, float),
-        beta=res.get("beta", 1.5, float),
-        k_max=res.get("k_max", None, int),
-        s_min=res.get("s_min", None, int),
-        s_max=res.get("s_max", None, int),
-        mix_tolerance=res.get("mix_tolerance", 0.02, float),
-        max_rewire_sweeps=res.get("max_rewire_sweeps", 200, int),
-        seed=seed,
-    )
-    if with_mixing:
-        mu_t = res.get("mu_t", None, float)
-        mu_w = res.get("mu_w", None, float)
-        if mu_t is None or mu_w is None:
-            raise SystemExit("--mu-t and --mu-w are required")
-        kwargs["mu_t"] = mu_t
-        kwargs["mu_w"] = mu_w
-    else:
-        kwargs["mu_t"] = 0.0
-        kwargs["mu_w"] = 0.0
-    return GenParams(**kwargs)
+    kwargs = {name: res.get(name, default, cast)
+              for name, default, cast in _gen_fields(with_mixing)}
+    if not with_mixing:
+        kwargs.update(mu_t=0.0, mu_w=0.0)
+    elif kwargs["mu_t"] is None or kwargs["mu_w"] is None:
+        raise SystemExit("--mu-t and --mu-w are required")
+    return GenParams(seed=seed, **kwargs)
 
 
 def _env_seed(fallback: int) -> int:

@@ -47,8 +47,10 @@ class InfomapConfig:
         check_seed(self.seed)
         if self.outer_passes < 1:
             raise ValueError("outer_passes must be >= 1")
-        if self.move_tolerance < 0:
-            raise ValueError("move_tolerance must be >= 0")
+        if not self.move_tolerance > 0:
+            # at 0, detect was seen never to return: a node may move back
+            # and forth on gains that are positive only by rounding
+            raise ValueError("move_tolerance must be > 0")
 
 
 def visit_rates(g: Graph) -> np.ndarray:

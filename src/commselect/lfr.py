@@ -1,12 +1,15 @@
 """Weighted benchmark networks with planted power-law community structure.
 
 Generation follows the classic recipe: draw community sizes and node degrees
-from truncated power laws, split each node's degree into an internal and an
-external part according to the topological mixing parameter, realise the two
-parts by configuration-model stub matching (per community and globally), then
-rewire until the graph is simple and the measured mixing is on target.
-Weights are fitted afterwards: each node gets a target strength k^beta, split
-into internal and external parts by the weight mixing parameter, and an
+from truncated power laws, split each degree into internal and external
+stubs by the topological mixing parameter, and realise them with one
+configuration model: stub matching per community and globally, then batched
+double-edge swaps that repair self-loops, parallel edges and external links
+inside one community, widen their partners when the repair stalls, and
+steer the cross-link count toward mu_t. An attempt that still stalls is
+rejected and ``generate`` retries; no edge is ever dropped. Weights are
+fitted afterwards: each node gets a target strength k^beta, split into
+internal and external parts by the weight mixing parameter, and an
 iterative proportional scheme scales edge weights (geometric mean of the two
 endpoint factors) until node strengths match.
 
@@ -18,7 +21,6 @@ when ``_balance_external_targets`` scales external targets down, and
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -65,7 +67,6 @@ class GenParams:
     s_max: int | None = None
     seed: int = 0
     mix_tolerance: float = 0.02
-    max_rewire_sweeps: int = 200
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -96,8 +97,6 @@ class GenParams:
             raise ValueError(f"s_min {s_min} exceeds s_max {s_max}")
         if not self.mix_tolerance > 0.0:
             raise ValueError("mix_tolerance must be > 0")
-        if self.max_rewire_sweeps < 1:
-            raise ValueError("max_rewire_sweeps must be >= 1")
 
     @property
     def resolved_k_max(self) -> int:
@@ -157,19 +156,14 @@ def solve_k_min(tau1: float, avg_k: float, k_max: int) -> int:
     """
     if avg_k > k_max:
         raise ValueError(f"avg_k {avg_k} exceeds k_max {k_max}")
-    best_lo, best_err = 2, math.inf
-    means = []
-    for lo in range(2, k_max + 1):
-        mean = truncated_power_law_mean(tau1, lo, k_max)
-        means.append(mean)
-        err = abs(mean - avg_k)
-        if err < best_err:
-            best_lo, best_err = lo, err
-    if best_err > 1.0:
+    means = np.array([truncated_power_law_mean(tau1, lo, k_max)
+                      for lo in range(2, k_max + 1)])
+    best = int(np.argmin(np.abs(means - avg_k)))
+    if abs(means[best] - avg_k) > 1.0:
         raise ValueError(
             f"no lower cutoff reaches mean degree {avg_k}; achievable range "
             f"is [{means[0]:.3f}, {means[-1]:.3f}] for k_max={k_max}")
-    return best_lo
+    return best + 2
 
 
 def sample_community_sizes(params: GenParams, rng) -> list[int]:
@@ -197,16 +191,11 @@ def sample_community_sizes(params: GenParams, rng) -> list[int]:
         else:
             deficit = n - (total - sizes.pop())
             order = [int(i) for i in rng.permutation(len(sizes))]
-            progress = True
-            while deficit > 0 and progress:
-                progress = False
+            while deficit > 0 and any(x < s_max for x in sizes):
                 for i in order:
-                    if deficit == 0:
-                        break
-                    if sizes[i] < s_max:
+                    if deficit > 0 and sizes[i] < s_max:
                         sizes[i] += 1
                         deficit -= 1
-                        progress = True
             if deficit > 0:
                 if s_min <= deficit <= s_max:
                     sizes.append(deficit)
@@ -219,20 +208,17 @@ def sample_community_sizes(params: GenParams, rng) -> list[int]:
 
 
 def _fit_sizes_to_internal_degrees(sizes, int_degs, s_min, s_max):
-    """Repair a drawn size vector so the node-to-community assignment with
-    every internal degree strictly below its community size can actually be
-    completed.
+    """Repair drawn sizes so that every node fits in a community larger than
+    its internal degree.
 
-    The power-law size draw knows nothing about degrees: at low mixing every
-    internal degree may exceed the smallest drawn sizes, leaving those
-    communities impossible to fill. Communities of ascending size s_1 <= ...
-    can all be filled exactly when every prefix quota fits inside the set of
-    nodes whose internal degree is below that prefix's largest size. Repairs:
-    grow the largest community until it can host the largest internal degree
-    (shaving others toward s_min), then repeatedly dissolve the smallest
-    community into whatever headroom remains below s_max until the prefix
-    condition holds. Sizes stay within [s_min, s_max]; rejects when no repair
-    exists.
+    The size draw knows nothing about degrees: at low mixing the internal
+    degrees may exceed the smallest sizes. Communities of ascending size can
+    all be filled when every prefix of them fits inside the nodes whose
+    internal degree is below that prefix's largest size. Repairs: grow the
+    largest community to host the largest internal degree (shaving others
+    toward s_min), then dissolve the smallest community into the headroom
+    below s_max until the prefix condition holds. Sizes stay within
+    [s_min, s_max]; rejects when no repair exists.
     """
     need = max(int_degs) + 1
     if need > s_max:
@@ -244,8 +230,6 @@ def _fit_sizes_to_internal_degrees(sizes, int_degs, s_min, s_max):
     if sizes[-1] < need:
         deficit = need - sizes[-1]
         for i in range(len(sizes) - 2, -1, -1):
-            if deficit == 0:
-                break
             take = min(deficit, sizes[i] - s_min)
             sizes[i] -= take
             sizes[-1] += take
@@ -256,16 +240,9 @@ def _fit_sizes_to_internal_degrees(sizes, int_degs, s_min, s_max):
                 f"cannot grow any community to host internal degree {need - 1}")
         sizes.sort()
 
-    int_sorted = sorted(int_degs)
+    int_sorted = np.sort(int_degs)
     while True:
-        cum = 0
-        feasible = True
-        for s in sizes:
-            cum += s
-            if cum > bisect.bisect_left(int_sorted, s):
-                feasible = False
-                break
-        if feasible:
+        if (np.cumsum(sizes) <= np.searchsorted(int_sorted, sizes)).all():
             return sizes
         if len(sizes) == 1:
             raise GenerationError(
@@ -273,12 +250,9 @@ def _fit_sizes_to_internal_degrees(sizes, int_degs, s_min, s_max):
                 "no community-size vector can absorb these internal degrees")
         quota = sizes.pop(0)
         for i in range(len(sizes) - 1, -1, -1):
-            room = s_max - sizes[i]
-            take = min(room, quota)
+            take = min(s_max - sizes[i], quota)
             sizes[i] += take
             quota -= take
-            if quota == 0:
-                break
         if quota > 0:
             raise GenerationError(
                 "community_sizes",
@@ -289,206 +263,113 @@ def _fit_sizes_to_internal_degrees(sizes, int_degs, s_min, s_max):
 
 def _assign_communities(int_deg, sizes, rng) -> np.ndarray:
     """Place nodes into size quotas so every internal degree fits strictly
-    inside its community."""
-    n = len(int_deg)
-    nc = len(sizes)
+    inside its community.
 
-    def attempt(order):
-        quota = list(sizes)
+    Each node in turn takes a community larger than its internal degree,
+    chosen proportionally to the remaining quota, like filling slots. Nodes
+    go in random order; when that gets stuck, the largest internal degrees
+    go first, so the big communities are still open when they are needed.
+    """
+    n, sizes = len(int_deg), np.asarray(sizes, dtype=np.int64)
+    for order in (rng.permutation(n), np.argsort(-int_deg, kind="stable")):
+        quota = sizes.copy()
         membership = np.full(n, -1, dtype=np.int64)
         for v in order:
-            feasible = [c for c in range(nc)
-                        if quota[c] > 0 and sizes[c] > int_deg[v]]
-            if not feasible:
-                return None
-            # choose proportionally to remaining quota, like filling slots
-            weights = np.array([quota[c] for c in feasible], dtype=np.float64)
-            pick = int(rng.choice(len(feasible), p=weights / weights.sum()))
-            c = feasible[pick]
-            membership[v] = c
+            free = np.where(sizes > int_deg[v], quota, 0)
+            if not free.any():
+                break
+            membership[v] = c = rng.choice(sizes.size, p=free / free.sum())
             quota[c] -= 1
-        return membership
-
-    membership = attempt([int(v) for v in rng.permutation(n)])
-    if membership is None:
-        # retry with large internal degrees placed first so the big
-        # communities are still open when they are needed
-        order = sorted(range(n), key=lambda v: -int_deg[v])
-        membership = attempt(order)
-    if membership is None:
-        raise GenerationError(
-            "assignment",
-            "some internal degree is too large for every community with "
-            "spare capacity; raise s_max or mu_t")
-    return membership
-
-
-def _fix_parity(degrees, int_deg, ext_deg, members, sizes, rng):
-    """Make each community's internal stub count even, then the external
-    total even, nudging single stubs (or dropping one) as needed."""
-    for c in range(len(sizes)):
-        if sum(int_deg[v] for v in members[c]) % 2 == 0:
-            continue
-        size_c = sizes[c]
-        plus = [v for v in members[c]
-                if ext_deg[v] >= 1 and int_deg[v] < min(degrees[v], size_c - 1)]
-        if plus:
-            v = plus[int(rng.integers(len(plus)))]
-            int_deg[v] += 1
-            ext_deg[v] -= 1
-            continue
-        holders = [v for v in members[c] if int_deg[v] >= 1]
-        v = holders[int(rng.integers(len(holders)))]
-        if any(ext_deg[u] > 0 for u in members[c]):
-            int_deg[v] -= 1
-            ext_deg[v] += 1
         else:
-            # no external stubs in this community (mu_t ~ 0): drop the stub
-            # outright rather than manufacture a cross link
-            int_deg[v] -= 1
-            degrees[v] -= 1
-    if sum(ext_deg) % 2 == 1:
-        holders = [v for v in range(len(degrees)) if ext_deg[v] >= 1]
-        v = holders[int(rng.integers(len(holders)))]
-        ext_deg[v] -= 1
-        degrees[v] -= 1
+            return membership
+    raise GenerationError(
+        "assignment",
+        "some internal degree is too large for every community with "
+        "spare capacity; raise s_max or mu_t")
 
 
-class _EdgePool:
-    """Mutable edge multiset used during rewiring.
-
-    Records are [a, b] lists tagged internal/external; a count table over
-    unordered pairs detects parallels and self-loops.
+def _split_stubs(degrees, mu_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split each node's degree into (internal, external) stub counts: node
+    v gets floor(mu_t * k_v) external stubs and the nodes with the largest
+    remainders one more (ties to the lower id), so the external total is
+    exactly round(mu_t * sum(k)); rounding each node on its own would bias
+    it, by up to n/2 stubs at mu_t = 0.5.
     """
+    k = np.asarray(degrees, dtype=np.int64)
+    ext = np.floor(mu_t * k).astype(np.int64)
+    short = int(round(mu_t * int(k.sum()))) - int(ext.sum())
+    ext[np.argsort(ext - mu_t * k, kind="stable")[:max(short, 0)]] += 1
+    return k - ext, ext
 
-    def __init__(self, membership):
-        self.membership = membership
-        self.records: list[list[int]] = []
-        self.kind: list[int] = []        # 0 internal, 1 external
-        self.counts: dict[tuple[int, int], int] = {}
 
-    @staticmethod
-    def _key(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    def add(self, a, b, kind):
-        self.records.append([a, b])
-        self.kind.append(kind)
-        k = self._key(a, b)
-        self.counts[k] = self.counts.get(k, 0) + 1
-
-    def _dec(self, a, b):
-        k = self._key(a, b)
-        c = self.counts[k] - 1
-        if c:
-            self.counts[k] = c
+def _fix_parity(degrees, int_deg, ext_deg, membership, mu_t, rng):
+    """Make every community's internal stub count even, in place: in each
+    odd community one node moves one stub between its internal and external
+    parts, toward the external total it started with, so no degree changes.
+    The exception is mu_t = 0: with no external part to trade with, one
+    internal stub is dropped, lowering one node's degree by one.
+    """
+    target, sizes = int(ext_deg.sum()), np.bincount(membership)
+    for c in np.flatnonzero(np.bincount(membership, weights=int_deg) % 2):
+        members = np.flatnonzero(membership == c)
+        inward = members[(ext_deg[members] > 0) & (int_deg[members] < sizes[c] - 1)]
+        step = 1 if inward.size and ext_deg.sum() > target else -1
+        v = rng.choice(inward if step == 1 else members[int_deg[members] > 0])
+        int_deg[v] += step
+        if mu_t == 0:
+            degrees[v] -= 1
         else:
-            del self.counts[k]
-
-    def _inc(self, a, b):
-        k = self._key(a, b)
-        self.counts[k] = self.counts.get(k, 0) + 1
-
-    def try_swap(self, e, f, flip):
-        """Double-edge swap of records e and f; keeps the graph simple.
-
-        With flip False pairs (e.a, f.a) and (e.b, f.b), with True
-        (e.a, f.b) and (e.b, f.a). Returns the two new endpoint pairs or
-        None when the swap would create a self-loop or parallel edge.
-        """
-        ea, eb = self.records[e]
-        fa, fb = self.records[f]
-        if flip:
-            fa, fb = fb, fa
-        p1, p2 = (ea, fa), (eb, fb)
-        if p1[0] == p1[1] or p2[0] == p2[1]:
-            return None
-        self._dec(ea, eb)
-        self._dec(*self.records[f])
-        k1, k2 = self._key(*p1), self._key(*p2)
-        if self.counts.get(k1, 0) or self.counts.get(k2, 0) or k1 == k2:
-            self._inc(ea, eb)
-            self._inc(*self.records[f])
-            return None
-        self._inc(*p1)
-        self._inc(*p2)
-        self.records[e][0], self.records[e][1] = p1
-        self.records[f][0], self.records[f][1] = p2
-        return p1, p2
-
-    def is_cross(self, idx):
-        a, b = self.records[idx]
-        return self.membership[a] != self.membership[b]
-
-    def problem_indices(self):
-        """Self-loops, parallel duplicates, and external records that landed
-        inside one community."""
-        seen: dict[tuple[int, int], int] = {}
-        bad = []
-        for i, (a, b) in enumerate(self.records):
-            k = self._key(a, b)
-            if a == b:
-                bad.append(i)
-                continue
-            if k in seen:
-                bad.append(i)
-                continue
-            seen[k] = i
-            if self.kind[i] == 1 and not self.is_cross(i):
-                bad.append(i)
-        return bad
+            ext_deg[v] -= step
 
 
-def _stub_match(stubs, rng):
-    stubs = np.array(stubs, dtype=np.int64)
-    rng.shuffle(stubs)
-    return [(int(stubs[i]), int(stubs[i + 1])) for i in range(0, len(stubs) - 1, 2)]
+# rounds without a new lowest count after which a phase counts as stalled
+_STALL_ROUNDS = 10
+# fewest partners drawn per link to repair in a round (a round draws ~m)
+_PARTNERS = 8
 
 
 def build_topology(degrees, sizes, mu_t, rng,
-                   mix_tolerance: float = 0.02,
-                   max_rewire_sweeps: int = 200) -> tuple[Graph, Partition]:
+                   mix_tolerance: float = 0.02) -> tuple[Graph, Partition]:
     """Build a simple unit-weight graph realising the requested mixing.
 
-    Internal stubs are matched within each community and external stubs
-    globally; rewiring sweeps then remove self-loops and parallel edges by
-    double-edge swaps, repair external edges that fell inside one community,
-    and finally steer the global cross-link fraction into the tolerance band
-    around ``mu_t``. Rejects (carrying the achieved value) if the band cannot
-    be reached within ``max_rewire_sweeps``.
+    Degrees are split by ``_split_stubs`` and nodes placed into communities
+    of the given sizes. One lexsort over (pool, random key) matches internal
+    stubs within their community and external stubs globally; ``_repair``
+    swaps away self-loops, parallel edges and misplaced external links, and
+    ``_steer`` brings the cross-link count into the middle half of the
+    tolerance band. Degrees never change (except at mu_t = 0, see
+    ``_fix_parity``) and no edge is dropped: a stalled repair, or a mixing
+    outside ``mix_tolerance``, raises ``GenerationError("topology")``.
     """
-    degrees = [int(k) for k in degrees]
+    degrees = np.array(degrees, dtype=np.int64)
     sizes = [int(s) for s in sizes]
-    n = len(degrees)
+    n = degrees.size
     if sum(sizes) != n:
         raise GenerationError("topology", f"sizes sum to {sum(sizes)}, need {n}")
-    if sum(degrees) % 2 == 1:
+    if int(degrees.sum()) % 2 == 1:
         raise GenerationError("topology", "degree sum must be even")
-
-    int_deg = [int(math.floor((1.0 - mu_t) * k + 0.5)) for k in degrees]
-    ext_deg = [k - i for k, i in zip(degrees, int_deg)]
-    if len(sizes) == 1 and (mu_t > 0 and any(e > 0 for e in ext_deg)):
+    int_deg, ext_deg = _split_stubs(degrees, mu_t)
+    if len(sizes) == 1 and ext_deg.any():
         raise GenerationError(
             "topology", "external links are impossible with a single community")
 
     membership = _assign_communities(int_deg, sizes, rng)
+    _fix_parity(degrees, int_deg, ext_deg, membership, mu_t, rng)
+    stubs = np.repeat(np.tile(np.arange(n), 2), np.concatenate([int_deg, ext_deg]))
+    pool = np.concatenate([membership[stubs[:int(int_deg.sum())]],
+                           np.full(int(ext_deg.sum()), len(sizes))])
+    # every pool holds an even number of stubs, so neighbours in this order
+    # pair up within one pool
+    order = np.lexsort((rng.random(stubs.size), pool))
+    a, b = stubs[order[0::2]], stubs[order[1::2]]
+    kind = pool[order[0::2]] == len(sizes)      # True: external link
+    _repair(a, b, kind, membership, ext_deg, rng)
+    total = int(degrees.sum())          # X cross links give mixing 2X / total
+    _steer(a, b, kind, membership, ext_deg, mu_t * total / 2,
+           max(1.0, mix_tolerance * total / 4), rng)
+
+    graph = Graph(n, np.column_stack((a, b, np.ones(a.size))))
     truth = Partition(membership)
-    members = truth.members()
-    _fix_parity(degrees, int_deg, ext_deg, members, sizes, rng)
-
-    pool = _EdgePool(membership)
-    for nodes in members:
-        stubs = [v for v in nodes for _ in range(int_deg[v])]
-        for a, b in _stub_match(stubs, rng):
-            pool.add(a, b, 0)
-    ext_stubs = [v for v in range(n) for _ in range(ext_deg[v])]
-    for a, b in _stub_match(ext_stubs, rng):
-        pool.add(a, b, 1)
-
-    _rewire(pool, members, mu_t, mix_tolerance, max_rewire_sweeps, rng)
-
-    edges = [(a, b, 1.0) for a, b in pool.records]
-    graph = Graph(n, edges)
     achieved = measured_mixing(graph, truth)[0]
     if abs(achieved - mu_t) > mix_tolerance:
         raise GenerationError(
@@ -498,176 +379,129 @@ def build_topology(degrees, sizes, mu_t, rng,
     return graph, truth
 
 
-def _rewire(pool: _EdgePool, members, mu_t, tol, max_sweeps, rng):
-    nc = len(members)
-    membership = pool.membership
-    n_edges = len(pool.records)
-    if n_edges == 0:
-        return
+def _same_pool(pool, picks, rng):
+    """For each index in ``picks``, a random index from the same pool."""
+    count, p = np.bincount(pool), pool[picks]
+    offset = (rng.random(p.size) * count[p]).astype(np.int64)
+    return np.argsort(pool, kind="stable")[(np.cumsum(count) - count)[p] + offset]
 
-    def random_partner(indices, forbid):
-        if not indices:
-            return None
-        for _ in range(24):
-            f = indices[int(rng.integers(len(indices)))]
-            if f != forbid:
-                return f
-        return None
 
-    for _ in range(max_sweeps):
-        internal_by_comm = [[] for _ in range(nc)]
-        external_idx = []
-        for i, k in enumerate(pool.kind):
-            if k == 0:
-                internal_by_comm[membership[pool.records[i][0]]].append(i)
-            else:
-                external_idx.append(i)
-        problems = pool.problem_indices()
-        if not problems:
-            # the graph is simple now; retag every edge by whether it truly
-            # crosses communities so steering works from ground truth
-            internal_by_comm = [[] for _ in range(nc)]
-            external_idx = []
-            for i in range(len(pool.records)):
-                if pool.is_cross(i):
-                    pool.kind[i] = 1
-                    external_idx.append(i)
-                else:
-                    pool.kind[i] = 0
-                    internal_by_comm[membership[pool.records[i][0]]].append(i)
-            steered = _steer_mixing(pool, internal_by_comm, external_idx,
-                                    mu_t, tol, rng)
-            if steered:
+def _swap(a, b, kind, comm, key, e, f, u1, v1, u2, v2, ok, plan=None,
+          limit=None):
+    """Batched double-edge swap, in place: link e[i] becomes (u1, u2) and
+    link f[i] becomes (v1, v2), where {u1, v1} and {u2, v2} are the
+    endpoints of e[i] and f[i]. A candidate qualifies where ``ok`` holds and
+    it makes no self-loop and no link already in ``key`` (the packed keys of
+    the current links). In candidate order, each qualifying swap is taken,
+    up to ``limit``, when no earlier one uses its links or new links. With
+    ``plan``, each node's planned cross links, no earlier one may use its
+    nodes, and none may take the last cross link of a node planned to have
+    one. New links are tagged by whether they cross communities.
+    """
+    n = comm.size
+    k1 = np.minimum(u1, u2) * n + np.maximum(u1, u2)
+    k2 = np.minimum(v1, v2) * n + np.maximum(v1, v2)
+    i = np.flatnonzero(ok & (u1 != u2) & (v1 != v2)
+                       & ~np.isin(k1, key) & ~np.isin(k2, key))
+    units = (e, f, -1 - k1, -1 - k2) if plan is None else (u1, v1, u2, v2)
+    _, first, inverse = np.unique(np.stack([x[i] for x in units], axis=1),
+                                  return_index=True, return_inverse=True)
+    owner = (first // 4)[inverse].reshape(-1, 4)      # first swap using a unit
+    i = i[(owner == np.arange(i.size)[:, None]).all(axis=1)]
+    if plan is not None:
+        cross = comm[a] != comm[b]
+        have = np.bincount(np.concatenate([a[cross], b[cross]]), minlength=n)
+        ends = np.stack([u1[i], v1[i], u2[i], v2[i]])
+        new = np.tile([comm[u1[i]] != comm[u2[i]], comm[v1[i]] != comm[v2[i]]], (2, 1))
+        lost = cross[np.stack([e[i], e[i], f[i], f[i]])] & ~new
+        short = have - np.bincount(ends[lost], minlength=n) < np.minimum(plan, 1)
+        i = i[~(lost & short[ends]).any(axis=0)]
+    i = i[:limit]
+    e, f = e[i], f[i]
+    a[e], b[e], a[f], b[f] = u1[i], u2[i], v1[i], v2[i]
+    kind[e] = comm[a[e]] != comm[b[e]]
+    kind[f] = comm[a[f]] != comm[b[f]]
+
+
+def _repair(a, b, kind, comm, plan, rng):
+    """Swap away self-loops, repeated links and external links inside one
+    community. Each draws partners from its own pool (its community's
+    internal links, or all external links), keeping both links' kinds. After
+    ``_STALL_ROUNDS`` rounds without a new lowest count the partners widen:
+    an internal link may swap with any link, and an external one trades with
+    an internal link of another community, making two cross links, while no
+    node loses its last planned cross link. Raises when that stalls too.
+    """
+    n, nc = comm.size, int(comm.max()) + 1
+    for widened in (False, True):
+        best, since = math.inf, 0
+        while True:
+            key = np.minimum(a, b) * n + np.maximum(a, b)
+            bad = np.ones(a.size, dtype=bool)
+            bad[np.unique(key, return_index=True)[1]] = False    # repeats
+            bad |= (a == b) | (kind & (comm[a] == comm[b]))
+            count = int(bad.sum())
+            if count == 0:
+                return
+            best, since = (count, 0) if count < best else (best, since + 1)
+            if since == _STALL_ROUNDS:
                 break
-            continue
-        order = rng.permutation(len(problems))
-        for pi in order:
-            e = problems[int(pi)]
-            a, b = pool.records[e]
-            if pool.kind[e] == 0:
-                candidates = internal_by_comm[membership[a]]
+            e = np.repeat(np.flatnonzero(bad), max(_PARTNERS, a.size // count))
+            if widened:
+                f = rng.integers(a.size, size=e.size)
+                ok = ~kind[e] | (~kind[f] & (comm[a[f]] != comm[a[e]]))
             else:
-                candidates = external_idx
-            fixed = False
-            for _ in range(40):
-                f = random_partner(candidates, e)
-                if f is None:
-                    break
-                flip = bool(rng.integers(2))
-                for orient in (flip, not flip):
-                    res = pool.try_swap(e, f, orient)
-                    if res is None:
-                        continue
-                    if pool.kind[e] == 1 and not (pool.is_cross(e) and pool.is_cross(f)):
-                        # keep external edges cross-community when possible;
-                        # re-pairing first-with-first restores the originals
-                        pool.try_swap(e, f, False)
-                        continue
-                    fixed = True
-                    break
-                if fixed:
-                    break
-            if not fixed and pool.kind[e] == 1 and nc > 1:
-                # stuck external edge inside community c: trade with an
-                # internal edge of another community, yielding two cross links
-                c = membership[a]
-                others = [i for cc in range(nc) if cc != c
-                          for i in internal_by_comm[cc]]
-                for _ in range(40):
-                    f = random_partner(others, e)
-                    if f is None:
-                        break
-                    res = pool.try_swap(e, f, bool(rng.integers(2)))
-                    if res is not None:
-                        pool.kind[f] = 1
-                        fixed = True
-                        break
-    else:
-        _drop_unfixable(pool)
+                f = _same_pool(np.where(kind, nc, comm[a]), e, rng)
+            flip = rng.random(e.size) < 0.5
+            u2, v2 = np.where(flip, b[f], a[f]), np.where(flip, a[f], b[f])
+            cross1, cross2 = comm[a[e]] != comm[u2], comm[b[e]] != comm[v2]
+            if not widened:
+                ok = (cross1 == kind[e]) & (cross2 == kind[f])
+            # a link takes its first valid partner: swaps that keep the
+            # number of cross links go first
+            moved = cross1.astype(int) + cross2 != kind[e].astype(int) + kind[f]
+            order = np.lexsort((moved, e))
+            e, f, u2, v2, ok = e[order], f[order], u2[order], v2[order], ok[order]
+            _swap(a, b, kind, comm, key, e, f, a[e], b[e], u2, v2, ok,
+                  plan if widened else None)
+    raise GenerationError("topology", f"{count} self-loops, parallel or "
+                          f"misplaced links left when the swaps stalled")
 
 
-def _steer_mixing(pool: _EdgePool, internal_by_comm, external_idx,
-                  mu_t, tol, rng) -> bool:
-    """Nudge the cross-link fraction toward mu_t; True when within band."""
-    membership = pool.membership
-    n_edges = len(pool.records)
-    band = 0.5 * tol
-    budget = 4 * n_edges
-    cross = sum(1 for i in range(n_edges) if pool.is_cross(i))
-    while budget > 0:
-        current = cross / n_edges
-        if abs(current - mu_t) <= band:
-            return True
-        budget -= 1
-        if current < mu_t:
-            # convert two internal edges of different communities into two
-            # cross links
-            comms = [c for c, lst in enumerate(internal_by_comm) if lst]
-            if len(comms) < 2:
-                return abs(current - mu_t) <= tol
-            picks = rng.choice(len(comms), size=2, replace=False)
-            lst1 = internal_by_comm[comms[int(picks[0])]]
-            lst2 = internal_by_comm[comms[int(picks[1])]]
-            e = lst1[int(rng.integers(len(lst1)))]
-            f = lst2[int(rng.integers(len(lst2)))]
-            res = pool.try_swap(e, f, bool(rng.integers(2)))
-            if res is not None:
-                pool.kind[e] = pool.kind[f] = 1
-                lst1.remove(e)
-                lst2.remove(f)
-                external_idx.extend((e, f))
-                cross += 2
-        else:
-            # pair two cross links sharing a community side into one internal
-            # link plus one other link
-            if len(external_idx) < 2:
-                return abs(current - mu_t) <= tol
-            e = external_idx[int(rng.integers(len(external_idx)))]
-            ea, eb = pool.records[e]
-            mates = [i for i in external_idx if i != e and (
-                membership[pool.records[i][0]] == membership[ea]
-                or membership[pool.records[i][1]] == membership[ea]
-                or membership[pool.records[i][0]] == membership[eb]
-                or membership[pool.records[i][1]] == membership[eb])]
-            if not mates:
-                continue
-            f = mates[int(rng.integers(len(mates)))]
-            fa, fb = pool.records[f]
-            # orient so that same-community endpoints meet
-            flip = not (membership[fa] == membership[ea]
-                        or membership[fb] == membership[eb])
-            res = pool.try_swap(e, f, flip)
-            if res is not None:
-                cross -= 2
-                for idx in (e, f):
-                    if not pool.is_cross(idx):
-                        pool.kind[idx] = 0
-                        external_idx.remove(idx)
-                        a0 = pool.records[idx][0]
-                        internal_by_comm[membership[a0]].append(idx)
-                    else:
-                        cross += 1
-    return abs(cross / n_edges - mu_t) <= tol
-
-
-def _drop_unfixable(pool: _EdgePool):
-    """Last resort after the sweep budget: delete leftover self-loops and
-    duplicate parallels (one survivor per pair is kept)."""
-    keep_records = []
-    keep_kind = []
-    seen = set()
-    for i, (a, b) in enumerate(pool.records):
-        if a == b:
-            continue
-        k = pool._key(a, b)
-        if k in seen:
-            continue
-        seen.add(k)
-        keep_records.append([a, b])
-        keep_kind.append(pool.kind[i])
-    pool.records = keep_records
-    pool.kind = keep_kind
-    pool.counts = {pool._key(a, b): 1 for a, b in keep_records}
+def _steer(a, b, kind, comm, plan, target, slack, rng):
+    """Lower the number of cross links to within ``slack`` of ``target``,
+    stopping early when that stalls. The repair only adds cross links, so
+    steering only removes them: two cross links that meet in one community
+    become an internal link plus another link. Swaps that take no node below
+    its ``plan`` of cross links go first, and none takes a planned last one.
+    """
+    n, m = comm.size, a.size
+    best, since = math.inf, 0
+    while True:
+        gap = int(kind.sum()) - target
+        best, since = (gap, 0) if gap < best else (best, since + 1)
+        if gap <= slack or since == _STALL_ROUNDS:
+            return
+        # halves (near, far) of every cross link; partners share the near
+        # community
+        link = np.tile(np.flatnonzero(kind), 2)
+        near = np.concatenate([a[kind], b[kind]])
+        far = np.concatenate([b[kind], a[kind]])
+        h = rng.integers(link.size, size=m)
+        g = _same_pool(comm[near], h, rng)
+        # nodes that lose a cross link: both near ends, and the far ends
+        # when they share a community
+        ends = np.stack([near[h], near[g], far[h], far[g]])
+        lost = np.ones(ends.shape, dtype=bool)
+        lost[2:] = comm[far[h]] == comm[far[g]]
+        have = np.bincount(near, minlength=n)[ends]
+        below = (lost & (have <= plan[ends])).sum(axis=0)
+        order = np.lexsort((rng.random(m), below))
+        h, g = h[order], g[order]
+        key = np.minimum(a, b) * n + np.maximum(a, b)
+        _swap(a, b, kind, comm, key, link[h], link[g], near[h], far[h],
+              near[g], far[g], np.ones(m, dtype=bool), plan,
+              math.ceil((gap - slack) / 2))
 
 
 def _balance_external_targets(t_ext: np.ndarray, truth: Partition) -> np.ndarray:
@@ -805,18 +639,12 @@ def _generate_once(params: GenParams, rng) -> PlantedNetwork:
         v = int(rng.integers(params.n))
         degrees[v] += 1 if degrees[v] < k_max else -1
     sizes = sample_community_sizes(params, rng)
-    int_degs = [int(math.floor((1.0 - params.mu_t) * int(k) + 0.5))
-                for k in degrees]
-    sizes = _fit_sizes_to_internal_degrees(sizes, int_degs,
-                                           params.resolved_s_min,
-                                           params.resolved_s_max)
-    graph, truth = build_topology(
-        [int(k) for k in degrees], sizes, params.mu_t, rng,
-        params.mix_tolerance, params.max_rewire_sweeps)
+    sizes = _fit_sizes_to_internal_degrees(
+        sizes, _split_stubs(degrees, params.mu_t)[0].tolist(),
+        params.resolved_s_min, params.resolved_s_max)
+    graph, truth = build_topology(degrees, sizes, params.mu_t, rng,
+                                  params.mix_tolerance)
     graph = assign_weights(graph, truth, params.beta, params.mu_w)
     mu_t, mu_w = measured_mixing(graph, truth)
-    if abs(mu_t - params.mu_t) > params.mix_tolerance:
-        raise GenerationError(
-            "topology", f"mixing drifted to {mu_t:.4f}", achieved=mu_t)
     return PlantedNetwork(graph=graph, truth=truth, achieved_mu_t=mu_t,
                           achieved_mu_w=mu_w, params=params)

@@ -105,3 +105,5 @@ class TestDetect:
             InfomapConfig(outer_passes=0)
         with pytest.raises(ValueError):
             InfomapConfig(move_tolerance=-1.0)
+        with pytest.raises(ValueError):
+            InfomapConfig(move_tolerance=0.0)

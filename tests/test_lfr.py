@@ -5,7 +5,7 @@ from commselect import (GenParams, GenerationError, Graph, Partition,
                         assign_weights, build_topology, generate,
                         measured_mixing, sample_community_sizes,
                         sample_truncated_power_law, solve_k_min)
-from commselect.lfr import truncated_power_law_mean
+from commselect.lfr import _split_stubs, truncated_power_law_mean
 from commselect.seeds import spawn_rng
 from conftest import build_complete, build_two_k3_bridge
 from oracles import truncated_power_law_mean_reference
@@ -103,16 +103,31 @@ class TestBuildTopology:
             build_topology([4] * 12, [12], 1.0, spawn_rng(0))
 
     def test_simple_graph_and_tolerance(self):
+        cases = []
         for seed in range(10):
             degrees = list(sample_truncated_power_law(2.0, 4, 12, 60,
                                                       spawn_rng(seed, 1)))
             if sum(degrees) % 2:
                 degrees[0] += 1
-            sizes = [20, 20, 20]
-            g, truth = build_topology(degrees, sizes, 0.3, spawn_rng(seed, 2))
+            cases.append((degrees, [20, 20, 20], 0.3, spawn_rng(seed, 2)))
+        # near-complete communities: half the nodes have internal degree 18
+        # or 19 in communities of 20, so swaps inside a community stall
+        cases.append(([21] * 20 + [16] * 20, [20, 20], 0.1, spawn_rng(0)))
+        # one community holds more than half the external stubs, so some of
+        # them cannot be matched across communities
+        hubs = [int(k) for k in sample_truncated_power_law(2.0, 15, 50, 100,
+                                                            spawn_rng(3, 1))]
+        hubs[0] += sum(hubs) % 2
+        cases.append((hubs, [55, 45], 0.1, spawn_rng(3, 2)))
+        for degrees, sizes, mu_t_target, rng in cases:
+            g, truth = build_topology(degrees, sizes, mu_t_target, rng)
             # Graph construction itself validates simplicity
+            assert np.array_equal(g.degrees, degrees)
             mu_t, _ = measured_mixing(g, truth)
-            assert abs(mu_t - 0.3) <= 0.02
+            assert abs(mu_t - mu_t_target) <= 0.02
+        # in the last case one community really holds most external stubs
+        ext = _split_stubs(hubs, 0.1)[1]
+        assert np.bincount(truth.membership, weights=ext).max() > ext.sum() / 2
 
 
 class TestAssignWeights:
@@ -142,8 +157,10 @@ class TestAssignWeights:
     def test_oversubscribed_leaf_edges_rejected(self):
         # with mu_w=0.9 and only 1-2 external links per node, leaf edges
         # force their full weight onto shared endpoints: unreachable targets
+        # (mu_t=0.3 splits degree 5 into 1.5 external stubs, so half the
+        # nodes get one and half get two)
         degrees = [5] * 30
-        g, truth = build_topology(degrees, [15, 15], 0.4, spawn_rng(2))
+        g, truth = build_topology(degrees, [15, 15], 0.3, spawn_rng(2))
         with pytest.raises(GenerationError, match="weights"):
             assign_weights(g, truth, beta=1.5, mu_w=0.9)
 
