@@ -16,9 +16,9 @@ from .copra import detect as copra_detect
 from .infomap import InfomapConfig, map_equation, visit_rates
 from .infomap import detect as infomap_detect
 from .selector import (BinarySVM, ClassLabel, FeatureVector, SelectorModel,
-                       SvmHyper, decision_margins, extract_features,
-                       label_network, load_model, predict, save_model,
-                       train_binary, train_selector)
+                       SvmHyper, class_to_run, decision_margins,
+                       extract_features, label_network, load_model, predict,
+                       save_model, train_binary, train_selector)
 from .harness import (ALGORITHM_ORDER, SweepConfig, aggregate_rows,
                       collect_networks, report_selection, run_algorithm,
                       run_sweep, train_eval)

@@ -19,8 +19,9 @@ from . import harness
 from .graph import load_edge_list, save_edge_list, save_partition
 from .lfr import GenParams, GenerationError, generate
 from .metrics import modularity
-from .selector import (ClassLabel, SvmHyper, decision_margins, extract_features,
-                       load_model, predict, save_model)
+from .selector import (SvmHyper, algorithm_class, class_to_run,
+                       decision_margins, extract_features, load_model, predict,
+                       save_model)
 
 ENV_SEED = "COMMSELECT_SEED"
 
@@ -229,9 +230,8 @@ def cmd_predict(args) -> int:
     for pair, margin in decision_margins(model, feats).items():
         print(f"margin {pair}: {margin:.9g}")
     if args.detect_out:
-        run_class = label if label != ClassLabel.NONE else ClassLabel.UNWEIGHTED
-        names = (("copra_w", "infomap_w") if run_class == ClassLabel.WEIGHTED
-                 else ("copra_uw", "infomap_uw"))
+        names = [name for name in harness.ALGORITHM_ORDER
+                 if algorithm_class(name) == class_to_run(label)]
         best_name, best_part, best_q = None, None, -float("inf")
         for name in names:
             part = harness.run_algorithm(name, g, args.detect_seed)

@@ -5,10 +5,10 @@ containers. Graphs are simple (no self-loops, no parallel edges), weights are
 strictly positive, and node ids are dense in ``[0, N)``. A graph is stored
 once, as read-only numpy arrays: its edges ``u < v`` sorted by ``(u, v)``
 with their weights, and the CSR adjacency derived from them, whose rows list
-each node's neighbours in ascending order. Node degrees, strengths and the
-total weight are computed from those arrays at construction. Both containers
-are immutable after construction and safe to share across threads or
-processes.
+each node's neighbours in ascending order, with the row of each entry. Node
+degrees, strengths and the total weight are computed from those arrays at
+construction. Both containers are immutable after construction and safe to
+share across threads or processes.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class Graph:
             file used sparse or non-contiguous ids. ``None`` means identity.
     """
 
-    __slots__ = ("n", "_u", "_v", "_w", "_indptr", "_nbr", "_wt", "degrees",
-                 "strengths", "total_weight", "labels")
+    __slots__ = ("n", "_u", "_v", "_w", "_indptr", "_nbr", "_wt", "csr_rows",
+                 "degrees", "strengths", "total_weight", "labels")
 
     def __init__(self, node_count: int, edges: Iterable[Edge] | np.ndarray,
                  labels: Sequence[int] | None = None):
@@ -80,15 +80,17 @@ class Graph:
         perm = np.argsort(src, kind="stable")
         self._nbr = np.concatenate([self._u, self._v])[perm]
         self._wt = np.concatenate([self._w, self._w])[perm]
+        # the node whose row holds each CSR entry
+        self.csr_rows = src[perm]
         self.degrees = np.bincount(src, minlength=n)
         self._indptr = np.concatenate([[0], np.cumsum(self.degrees)])
         # summed in CSR order: each strength adds its node's weights in
         # ascending neighbour order
-        self.strengths = np.bincount(src[perm], weights=self._wt, minlength=n)
+        self.strengths = np.bincount(self.csr_rows, self._wt, n)
         # left-to-right sum, the same rounding as adding the edges in order
         self.total_weight = float(np.cumsum(self._w)[-1]) if len(order) else 0.0
         for arr in (self._u, self._v, self._w, self._indptr, self._nbr,
-                    self._wt, self.degrees, self.strengths):
+                    self._wt, self.csr_rows, self.degrees, self.strengths):
             arr.setflags(write=False)
 
     @property

@@ -23,8 +23,8 @@ from .graph import Graph
 from .lfr import GenParams, GenerationError, generate
 from .metrics import nmi
 from .selector import (ClassLabel, FeatureVector, SelectorModel, SvmHyper,
-                       algorithm_class, extract_features, label_network,
-                       predict, train_selector)
+                       algorithm_class, class_to_run, extract_features,
+                       label_network, predict, train_selector)
 from .seeds import check_seed, derive_seed, spawn_rng
 
 ALGORITHM_ORDER = ("copra_uw", "copra_w", "infomap_uw", "infomap_w")
@@ -336,10 +336,10 @@ def report_selection(rows: list[dict], model: SelectorModel) -> list[dict]:
     """Per-cell comparison of best-weighted, best-unweighted, and the class
     the classifier picks per network.
 
-    A None prediction falls back to the unweighted class for scoring (some
-    output is still required); the per-cell fallback count is recorded.
-    Per-algorithm means are included so single-algorithm curves can be read
-    off the same file.
+    Each network scores the class ``class_to_run`` picks for its vote (the
+    unweighted class for a None vote), and the per-cell count of None votes
+    is recorded. Per-algorithm means are included so single-algorithm curves
+    can be read off the same file.
     """
     records = collect_networks(rows)
     if not records:
@@ -363,12 +363,10 @@ def report_selection(rows: list[dict], model: SelectorModel) -> list[dict]:
                     "selection report needs both algorithm classes per network")
             best_w.append(max(w_scores))
             best_uw.append(max(uw_scores))
-            pred = predict(model, rec.features)
-            if pred == ClassLabel.NONE:
-                fallbacks += 1
-                pred = ClassLabel.UNWEIGHTED
-            selected.append(max(w_scores) if pred == ClassLabel.WEIGHTED
-                            else max(uw_scores))
+            vote = predict(model, rec.features)
+            fallbacks += vote == ClassLabel.NONE
+            weighted = class_to_run(vote) == ClassLabel.WEIGHTED
+            selected.append(best_w[-1] if weighted else best_uw[-1])
             for a, s in rec.scores.items():
                 per_alg[a].append(s)
         row = {"mu_t": key[0], "mu_w": key[1], "n": len(recs),

@@ -22,6 +22,9 @@ from .graph import Graph, Partition, with_unit_weights
 from .seeds import check_seed, spawn_rng
 
 _LOG2 = math.log(2.0)
+# bits; the smallest code-length gain a move must make. At 0, detect was seen
+# never to return: a node moved back and forth on gains made by rounding
+MOVE_TOLERANCE = 1e-10
 
 
 def _plogp(x: float) -> float:
@@ -40,17 +43,12 @@ class InfomapConfig:
     """Optimizer settings for map-equation detection."""
     seed: int = 0
     outer_passes: int = 10
-    move_tolerance: float = 1e-10  # bits; minimum accepted code-length gain
     weighted: bool = True
 
     def __post_init__(self):
         check_seed(self.seed)
         if self.outer_passes < 1:
             raise ValueError("outer_passes must be >= 1")
-        if not self.move_tolerance > 0:
-            # at 0, detect was seen never to return: a node may move back
-            # and forth on gains that are positive only by rounding
-            raise ValueError("move_tolerance must be > 0")
 
 
 def visit_rates(g: Graph) -> np.ndarray:
@@ -195,12 +193,12 @@ def _contract(level: _Level, module: list[int]) -> tuple[_Level, list[int]]:
     return _Level(m, adj, rate), dense
 
 
-def _optimize_once(base: _Level, rng, tol: float) -> list[int]:
+def _optimize_once(base: _Level, rng) -> list[int]:
     """Module of each base node after moving and agglomerating to a halt."""
     assignment = list(range(base.n))  # node -> module at the base level
     level = base
     while True:
-        module = _local_move(level, rng, tol)
+        module = _local_move(level, rng, MOVE_TOLERANCE)
         n_mod = len(set(module))
         if n_mod == level.n:
             return assignment
@@ -224,8 +222,7 @@ def detect(g: Graph, cfg: InfomapConfig) -> Partition:
         return Partition(list(range(g.n)))
     work = g if cfg.weighted else with_unit_weights(g)
     base = _level_from_graph(work)
-    parts = (Partition.from_labels(_optimize_once(
-                 base, spawn_rng(cfg.seed, restart), cfg.move_tolerance))
-             for restart in range(cfg.outer_passes))
+    parts = (Partition.from_labels(_optimize_once(base, spawn_rng(cfg.seed, r)))
+             for r in range(cfg.outer_passes))
     # min keeps the first of equal code lengths
     return min(parts, key=lambda part: map_equation(work, part))

@@ -46,7 +46,7 @@ def _triangles_per_edge(g: Graph) -> np.ndarray:
     u, v, _ = g.edge_arrays()
     indptr, nbr, _ = g.csr()
     n, deg = g.n, g.degrees
-    keys = np.repeat(np.arange(n), deg) * n + nbr  # ascending: CSR is sorted
+    keys = g.csr_rows * n + nbr  # ascending: CSR is sorted
     x = np.where(deg[u] <= deg[v], u, v)
     y = u + v - x
     cand = deg[x]

@@ -255,6 +255,12 @@ def predict(model: SelectorModel, f: FeatureVector) -> ClassLabel:
     return best[0]
 
 
+def class_to_run(vote: ClassLabel) -> ClassLabel:
+    """The class whose detectors run for a predicted ``vote``: a None vote
+    (neither class expected to do well) runs the unweighted class."""
+    return ClassLabel.UNWEIGHTED if vote == ClassLabel.NONE else vote
+
+
 def write_model(model: SelectorModel) -> str:
     """Serialise a model to the versioned line-oriented text format."""
     lines = [MODEL_HEADER]

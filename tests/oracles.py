@@ -4,9 +4,9 @@ Everything here is written straight from definitions with no code shared
 with the package internals: exhaustive partition enumeration, the map
 equation in raw entropy form, modularity as the full double sum, and NMI via
 an explicit contingency table. The two detector inner loops are kept here in
-their plain forms (a dense label-support table for the label-propagation
-step, every code-length term recomputed for each Infomap move), so that the
-optimised loops can be required to return exactly the same results.
+their plain forms (a per-node loop for the label-propagation step, every
+code-length term recomputed for each Infomap move), so that the optimised
+loops can be required to return exactly the same results.
 """
 
 import math
@@ -166,23 +166,24 @@ def truncated_power_law_mean_reference(exponent, lo, hi):
 
 
 def propagate_step_reference(g, labels, weighted, rng):
-    """Synchronous label-propagation step over dense (n, max label + 1)
-    support and tie-key tables. Ties are broken by the largest key of
-    ``rng.random((n, width))`` among the tied labels. The tie flag is also
-    raised by isolated nodes (their all-zero support row reads as a tie)."""
-    n = g.n
-    indptr, nbr, wt = g.csr()
-    rows = np.repeat(np.arange(n), g.degrees)
-    vals = wt if weighted else np.ones(nbr.size)
-    width = int(labels.max()) + 1 if labels.size else 1
-    support = np.bincount(rows * width + labels[nbr], weights=vals,
-                          minlength=n * width).reshape(n, width)
-    peak = support.max(axis=1)
-    at_peak = support == peak[:, None]
-    tie_rolled = bool((at_peak.sum(axis=1) > 1).any())
-    keys = np.where(at_peak, rng.random((n, width)), -1.0)
-    new = np.where(g.degrees == 0, labels, keys.argmax(axis=1))
-    return new, tie_rolled
+    """Synchronous label-propagation step, node by node: a node keeps its
+    label when it is among its most supported, otherwise it takes the
+    ``floor(r * count)``-th smallest of its most supported labels, drawing
+    ``r = rng.random()``."""
+    new = [int(x) for x in labels]
+    for v in range(g.n):
+        support = {}
+        for u, w in g.neighbors(v):
+            lab = int(labels[u])
+            support[lab] = support.get(lab, 0.0) + (w if weighted else 1.0)
+        if not support:
+            continue
+        peak = max(support.values())
+        if support.get(new[v]) == peak:
+            continue
+        best = sorted(lab for lab, x in support.items() if x == peak)
+        new[v] = best[int(rng.random() * len(best))]
+    return np.array(new, dtype=np.int64)
 
 
 def _plogp(x):

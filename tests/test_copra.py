@@ -17,7 +17,7 @@ class TestPropagateStep:
         g = Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
         for offset in (0, 2 ** 60):
             labels = np.array([9, 5, 7, 5]) + offset
-            out, _ = propagate_step(g, labels, False, spawn_rng(0))
+            out = propagate_step(g, labels, False, spawn_rng(0))
             assert out[0] == 5 + offset
             assert list(out[1:]) == [9 + offset] * 3
             # one step returns new labels and leaves its input as it was
@@ -27,47 +27,52 @@ class TestPropagateStep:
 
     def test_weighted_support_wins(self):
         g = Graph(3, [(0, 1, 1.0), (0, 2, 5.0)])
-        out, _ = propagate_step(g, np.array([9, 3, 4]), True, spawn_rng(0))
+        out = propagate_step(g, np.array([9, 3, 4]), True, spawn_rng(0))
         assert out[0] == 4
 
     def test_unweighted_tie_is_uniform(self):
         g = Graph(3, [(0, 1, 1.0), (0, 2, 5.0)])
         picks = [int(propagate_step(g, np.array([9, 3, 4]), False,
-                                    spawn_rng(s))[0][0])
+                                    spawn_rng(s))[0])
                  for s in range(200)]
         counts = {lab: picks.count(lab) for lab in set(picks)}
         assert set(counts) == {3, 4}
         assert min(counts.values()) >= 60  # ~binomial(200, 1/2)
 
     def test_fixed_point_on_uniform_labels(self, two_k3):
-        out, _ = propagate_step(two_k3, np.array([0, 0, 0, 1, 1, 1]), False,
-                                spawn_rng(1))
-        assert tuple(out) == (0, 0, 0, 1, 1, 1)
+        # on the ring every node ties between its own label and its other
+        # neighbour's, so it keeps its own
+        ring = Graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
+        cases = [(two_k3, (0, 0, 0, 1, 1, 1)),
+                 (ring, (0, 0, 1, 1, 2, 2, 3, 3))]
+        for g, labels in cases:
+            for weighted in (False, True):
+                out = propagate_step(g, np.array(labels), weighted,
+                                     spawn_rng(1))
+                assert tuple(out) == labels
 
     def test_isolated_keeps_label(self):
-        # an isolated node has no tie to roll, whatever its label
+        # an isolated node has no support for any label, whatever its label
         cases = [(Graph(3, [(0, 1, 1.0)]), [4, 4, 8]),
                  (Graph(4, [(0, 1, 1.0), (1, 2, 1.0)]), [0, 0, 0, 3])]
         for g, labels in cases:
-            out, tie = propagate_step(g, np.array(labels), False, spawn_rng(0))
+            out = propagate_step(g, np.array(labels), False, spawn_rng(0))
             assert out[-1] == labels[-1]
-            assert not tie
 
     def test_memory_is_linear_in_links(self):
         # ring lattice at n=10^4 with unique labels: every node ties, and a
-        # dense (n, n) key table alone would take 763 MiB
+        # dense (n, n) support table alone would take 763 MiB
         n = 10_000
         g = Graph(n, [(v, (v + d) % n, 1.0) for v in range(n)
                       for d in (1, 2, 3)])
         labels = np.arange(n)
         tracemalloc.start()
         try:
-            out, tie = propagate_step(g, labels, False, spawn_rng(0))
+            out = propagate_step(g, labels, False, spawn_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        assert tie
         offset = (out - labels) % n
         assert np.isin(offset, [1, 2, 3, n - 3, n - 2, n - 1]).all()
 
@@ -108,8 +113,8 @@ class TestRunOnce:
         edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
                  (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
         edges += [(u, v, 3.0) for u in range(3) for v in range(3, 6)]
-        # an unweighted ring keeps rolling ties, so a small cap stops the
-        # synchronous phase away from any fixed point
+        # an unweighted ring with unique labels keeps drawing among tied
+        # labels, so a small cap stops the synchronous phase early
         ring = Graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
         cases = [(Graph(6, edges), CopraConfig(weighted=True))]
         cases += [(ring, CopraConfig(weighted=False, max_iters=k))

@@ -297,6 +297,28 @@ class TestCli:
                      "--edges", str(edges)]) == 1
         assert "self-loop" in capsys.readouterr().err
 
+    def test_predict_none_vote_runs_the_class_report_scores(self, tmp_path,
+                                                            capsys):
+        # both none-classifiers fire, so every vote is None
+        model = manual_model([0.0, -10.0, -10.0])
+        from commselect import save_model
+        from commselect.selector import algorithm_class
+        model_path = tmp_path / "m.txt"
+        save_model(model, model_path)
+        edges = tmp_path / "e.txt"
+        edges.write_text("0 1 3.0\n1 2 0.5\n2 0 1.0\n2 3 2.0\n3 4 1.0\n")
+        part_out = tmp_path / "p.txt"
+        assert main(["predict", "--model", str(model_path),
+                     "--edges", str(edges), "--detect-out",
+                     str(part_out)]) == 0
+        out = capsys.readouterr().out
+        assert "predicted_class: none" in out
+        ran = out.split("detected with ")[1].split()[0]
+        scored = report_selection(synth_rows(), model)
+        assert algorithm_class(ran) == ClassLabel.UNWEIGHTED
+        for cell in scored:
+            assert cell["mean_selected"] == cell["mean_best_unweighted"]
+
     def test_predict_unit_weight_features_coincide(self, tmp_path, capsys):
         rows = synth_rows()
         result = train_eval(rows, split_seed=1)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from commselect import (Graph, InfomapConfig, Partition, infomap_detect,
-                        map_equation, visit_rates, with_unit_weights)
+from commselect import (Graph, InfomapConfig, Partition, infomap,
+                        infomap_detect, map_equation, visit_rates,
+                        with_unit_weights)
 from conftest import build_path, random_graph
 from oracles import (all_partitions, brute_force_min_code_length,
                      map_equation_reference)
@@ -92,7 +93,7 @@ class TestDetect:
             p = infomap_detect(g, cfg)
             singles = Partition(list(range(g.n)))
             assert (map_equation(g, p)
-                    <= map_equation(g, singles) + cfg.move_tolerance)
+                    <= map_equation(g, singles) + infomap.MOVE_TOLERANCE)
 
     def test_unweighted_flag_ignores_weights(self, rng):
         g = random_graph(rng, 10, weighted=True)
@@ -103,7 +104,3 @@ class TestDetect:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InfomapConfig(outer_passes=0)
-        with pytest.raises(ValueError):
-            InfomapConfig(move_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            InfomapConfig(move_tolerance=0.0)

@@ -7,7 +7,7 @@ from commselect import (BinarySVM, ClassLabel, FeatureVector, SelectorModel,
                         SvmHyper, extract_features, label_network, predict,
                         train_binary, train_selector)
 from commselect.selector import (decision_margins, parse_model, write_model,
-                                 algorithm_class)
+                                 algorithm_class, class_to_run)
 from conftest import build_complete, build_star
 from commselect.graph import Graph
 
@@ -164,6 +164,12 @@ class TestPredictVoting:
         # same structure, strongest classifier is unweighted:none voting U
         model = manual_model([0.1, -0.2, 0.9])
         assert predict(model, FeatureVector(0.5, 0.5)) == ClassLabel.UNWEIGHTED
+
+    def test_class_to_run(self):
+        # a None vote runs the unweighted class; the other votes run theirs
+        assert class_to_run(ClassLabel.NONE) == ClassLabel.UNWEIGHTED
+        for vote in (ClassLabel.WEIGHTED, ClassLabel.UNWEIGHTED):
+            assert class_to_run(vote) == vote
 
 
 class TestModelIO:
