@@ -181,10 +181,8 @@ def cmd_sweep(args) -> int:
 
 
 def _sibling(path: str, suffix: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path + suffix
-    return f"{stem}{suffix}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}{suffix}{ext}"
 
 
 def cmd_train(args) -> int:
@@ -219,10 +217,10 @@ def cmd_predict(args) -> int:
     try:
         model = load_model(args.model)
         g = load_edge_list(args.edges)
+        feats = extract_features(g)
     except (OSError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return 1
-    feats = extract_features(g)
     label = predict(model, feats)
     print(f"predicted_class: {label.value}")
     print(f"c_uw: {feats.c_uw:.9g}")

@@ -22,9 +22,10 @@ from . import copra, infomap
 from .graph import Graph
 from .lfr import GenParams, GenerationError, generate
 from .metrics import nmi
-from .selector import (ClassLabel, FeatureVector, SelectorModel, SvmHyper,
-                       algorithm_class, class_to_run, extract_features,
-                       label_network, predict, train_selector)
+from .selector import (CLASS_ORDER, ClassLabel, FeatureVector, SelectorModel,
+                       SvmHyper, algorithm_class, class_to_run,
+                       extract_features, label_network, predict,
+                       train_selector)
 from .seeds import check_seed, derive_seed, spawn_rng
 
 ALGORITHM_ORDER = ("copra_uw", "copra_w", "infomap_uw", "infomap_w")
@@ -245,10 +246,7 @@ def _class_grid(records_by_cell, mu_t_values, mu_w_values, pick) -> str:
                 # modal class, ties to the canonical order W/U/N
                 counts = {c: labs.count(c) for c in ClassLabel}
                 top = max(counts.values())
-                modal = next(c for c in (ClassLabel.WEIGHTED,
-                                         ClassLabel.UNWEIGHTED,
-                                         ClassLabel.NONE)
-                             if counts[c] == top)
+                modal = next(c for c in CLASS_ORDER if counts[c] == top)
                 cells.append(modal.value[0].upper())
         lines.append(f"{t:>9.3g} " + " ".join(f"{c:>5}" for c in cells))
     return "\n".join(lines)
@@ -276,17 +274,11 @@ def train_eval(rows: list[dict], train_fraction: float = 0.8,
     if not test_idx:
         raise ValueError("train_fraction leaves no test networks")
 
-    train_labels = [labels[i] for i in train_idx]
-    for cls in (ClassLabel.WEIGHTED, ClassLabel.UNWEIGHTED, ClassLabel.NONE):
-        if cls not in train_labels:
-            raise ValueError(
-                f"class '{cls.value}' missing from the training split")
     model = train_selector(
         [(records[i].features, labels[i]) for i in train_idx],
         hyper=hyper, nmi_threshold=threshold)
 
-    idx_of = {c: k for k, c in enumerate(
-        (ClassLabel.WEIGHTED, ClassLabel.UNWEIGHTED, ClassLabel.NONE))}
+    idx_of = {c: k for k, c in enumerate(CLASS_ORDER)}
     confusion = np.zeros((3, 3), dtype=np.int64)
     predictions = []
     cells: dict[tuple, list[dict]] = {}

@@ -5,7 +5,8 @@ walk under a two-level codebook (one index codebook across modules, one
 codebook per module). On an undirected graph the walk's stationary visit rate
 of a node is its strength over twice the total edge weight, so the code length
 has a closed form and the search reduces to minimising it. The optimizer is
-greedy node moving with agglomeration and seeded random restarts. Node
+greedy node moving with agglomeration and seeded random restarts; each level
+is a ``Graph`` of links in rate units plus a vector of visit rates. Node
 moving keeps each module's plogp terms between moves and refreshes only the
 two modules a move touches; a node whose neighbours all share its module is
 passed over without evaluating any move.
@@ -85,39 +86,24 @@ def map_equation(g: Graph, p: Partition) -> float:
             + _sum_plogp(p_mod) - _sum_plogp(rates))
 
 
-class _Level:
-    """Working graph for one agglomeration level, in rate units (w / 2W)."""
-
-    __slots__ = ("n", "adj", "rate", "out_rate")
-
-    def __init__(self, n, adj, rate):
-        self.n = n
-        self.adj = adj            # list[dict[node, rate]] without self-loops
-        self.rate = rate          # visit rate incl. self-loop contribution
-        self.out_rate = [sum(a.values()) for a in adj]
+def _links(g: Graph) -> list[dict[int, float]]:
+    """The {neighbour: link rate} dict of each node of a level graph."""
+    indptr, nbr, wt = (a.tolist() for a in g.csr())
+    return [dict(zip(nbr[lo:hi], wt[lo:hi]))
+            for lo, hi in zip(indptr[:-1], indptr[1:])]
 
 
-def _level_from_graph(g: Graph) -> _Level:
-    two_w = 2.0 * g.total_weight
-    indptr, nbr, wt = g.csr()
-    nbr, link_rate = nbr.tolist(), (wt / two_w).tolist()
-    bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
-    adj = [dict(zip(nbr[lo:hi], link_rate[lo:hi])) for lo, hi in bounds]
-    return _Level(g.n, adj, (g.strengths / two_w).tolist())
-
-
-def _local_move(level: _Level, rng, tol: float) -> list[int]:
-    """One level of greedy node moving; returns the module of each node.
+def _local_move(links, rate: np.ndarray, rng, tol: float) -> list[int]:
+    """Greedy node moving on one level; returns the module of each node.
 
     plogp(q_m) and plogp(q_m + p_m) of every module, and plogp of the summed
     exit rate, are kept between moves (``plp_q``, ``plp_qp``, ``plp_sum_q``)
     and refreshed where a move changes them, so each delta adds the same
     terms in the same order as when every one is computed afresh.
     """
-    n = level.n
-    module = list(range(n))
-    q_mod = list(level.out_rate)
-    p_mod = list(level.rate)
+    n = len(links)
+    out_rate, rate = [sum(a.values()) for a in links], rate.tolist()
+    module, q_mod, p_mod = list(range(n)), list(out_rate), list(rate)
     sum_q = sum(q_mod)
     plp = _plogp
     plp_q = [plp(q) for q in q_mod]
@@ -131,13 +117,13 @@ def _local_move(level: _Level, rng, tol: float) -> list[int]:
             a = module[v]
             # rate flowing from v to each adjacent module
             to_mod: dict[int, float] = {}
-            for u, w in level.adj[v].items():
+            for u, w in links[v].items():
                 cu = module[u]
                 to_mod[cu] = to_mod.get(cu, 0.0) + w
             if to_mod.keys() <= {a}:
                 continue  # no other module to move to
-            d_v = level.out_rate[v]
-            p_v = level.rate[v]
+            d_v = out_rate[v]
+            p_v = rate[v]
             k_va = to_mod.get(a, 0.0)
             q_a, p_a = q_mod[a], p_mod[a]
             q_a_new = q_a - d_v + 2.0 * k_va
@@ -177,35 +163,30 @@ def _local_move(level: _Level, rng, tol: float) -> list[int]:
     return module
 
 
-def _contract(level: _Level, module: list[int]) -> tuple[_Level, list[int]]:
-    """Merge modules into super-nodes; returns (new level, dense module ids)."""
-    dense = Partition.from_labels(module).membership.tolist()
-    m = max(dense) + 1
-    adj: list[dict[int, float]] = [dict() for _ in range(m)]
-    rate = [0.0] * m
-    for v in range(level.n):
-        cv = dense[v]
-        rate[cv] += level.rate[v]
-        for u, w in level.adj[v].items():
-            cu = dense[u]
-            if cu != cv:
-                adj[cv][cu] = adj[cv].get(cu, 0.0) + w
-    return _Level(m, adj, rate), dense
+def _contract(g: Graph, rate: np.ndarray, module):
+    """Merge modules into super-nodes: (level graph, visit rates, dense module
+    of each node). Rates keep the flow of the links inside each module."""
+    dense = Partition.from_labels(module).membership
+    nc = int(dense.max()) + 1
+    u, v, w = g.edge_arrays()
+    lo, hi = np.minimum(dense[u], dense[v]), np.maximum(dense[u], dense[v])
+    cross = lo != hi
+    keys, link = np.unique(lo[cross] * nc + hi[cross], return_inverse=True)
+    edges = np.column_stack((keys // nc, keys % nc,
+                             np.bincount(link, w[cross], keys.size)))
+    return Graph(nc, edges), np.bincount(dense, rate, nc), dense
 
 
-def _optimize_once(base: _Level, rng) -> list[int]:
-    """Module of each base node after moving and agglomerating to a halt."""
-    assignment = list(range(base.n))  # node -> module at the base level
-    level = base
+def _optimize_once(g: Graph, links, rate: np.ndarray, rng) -> Partition:
+    """Modules of the base nodes after moving and agglomerating to a halt."""
+    assignment = np.arange(g.n)  # base node -> node of the current level
     while True:
-        module = _local_move(level, rng, MOVE_TOLERANCE)
-        n_mod = len(set(module))
-        if n_mod == level.n:
-            return assignment
-        level, dense = _contract(level, module)
-        # dense[a] is the super-node of level node a, so composing through it
-        # keeps `assignment` mapping base nodes to current-level nodes
-        assignment = [dense[a] for a in assignment]
+        module = _local_move(links, rate, rng, MOVE_TOLERANCE)
+        if len(set(module)) == g.n:
+            return Partition.from_labels(assignment)
+        g, rate, dense = _contract(g, rate, module)
+        links = _links(g)
+        assignment = dense[assignment]
 
 
 def detect(g: Graph, cfg: InfomapConfig) -> Partition:
@@ -221,8 +202,11 @@ def detect(g: Graph, cfg: InfomapConfig) -> Partition:
     if g.edge_count == 0:
         return Partition(list(range(g.n)))
     work = g if cfg.weighted else with_unit_weights(g)
-    base = _level_from_graph(work)
-    parts = (Partition.from_labels(_optimize_once(base, spawn_rng(cfg.seed, r)))
+    # the base level, links in rate units w / 2W, is shared by the restarts
+    u, v, w = work.edge_arrays()
+    base = Graph(work.n, np.column_stack((u, v, w / (2.0 * work.total_weight))))
+    links, rate = _links(base), visit_rates(work)
+    parts = (_optimize_once(base, links, rate, spawn_rng(cfg.seed, r))
              for r in range(cfg.outer_passes))
     # min keeps the first of equal code lengths
     return min(parts, key=lambda part: map_equation(work, part))

@@ -326,6 +326,8 @@ def _fix_parity(degrees, int_deg, ext_deg, membership, mu_t, rng):
 _STALL_ROUNDS = 10
 # fewest partners drawn per link to repair in a round (a round draws ~m)
 _PARTNERS = 8
+# strength-fit sweeps before assign_weights gives up
+_WEIGHT_SWEEPS = 500
 
 
 def build_topology(degrees, sizes, mu_t, rng,
@@ -534,7 +536,7 @@ def _balance_external_targets(t_ext: np.ndarray, truth: Partition) -> np.ndarray
 
 
 def assign_weights(g: Graph, truth: Partition, beta: float, mu_w: float,
-                   tolerance: float = 0.01, max_sweeps: int = 500) -> Graph:
+                   tolerance: float = 0.01) -> Graph:
     """Fit strictly positive edge weights to the strength targets.
 
     Node v's target strength is degree(v)^beta, split into an internal part
@@ -562,7 +564,7 @@ def assign_weights(g: Graph, truth: Partition, beta: float, mu_w: float,
     w = np.ones(g.edge_count, dtype=np.float64)
     active = deg > 0
     err = math.inf
-    for _ in range(max_sweeps):
+    for _ in range(_WEIGHT_SWEEPS):
         s_int = (np.bincount(eu[internal], weights=w[internal], minlength=n)
                  + np.bincount(ev[internal], weights=w[internal], minlength=n))
         s_ext = (np.bincount(eu[~internal], weights=w[~internal], minlength=n)

@@ -203,7 +203,8 @@ def train_selector(dataset: Sequence[tuple[FeatureVector, ClassLabel]],
     labels = [lab for _, lab in dataset]
     for cls in CLASS_ORDER:
         if cls not in labels:
-            raise ValueError(f"training data has no '{cls.value}' examples")
+            raise ValueError(
+                f"class '{cls.value}' missing from the training split")
     raw = np.array([f.as_array() for f, _ in dataset])
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)

@@ -190,15 +190,17 @@ def _plogp(x):
     return x * math.log(x) / math.log(2.0) if x > 0.0 else 0.0
 
 
-def local_move_reference(level, rng, tol):
-    """Greedy map-equation node moving on an Infomap working level (``n``,
-    ``adj`` as per-node {neighbour: rate} dicts, ``rate``, ``out_rate``),
-    recomputing every plogp term of each candidate move's code-length
+def local_move_reference(links, rate, rng, tol):
+    """Greedy map-equation node moving on an Infomap working level (the
+    {neighbour: link rate} dict of each node, and the visit rate of each
+    node), recomputing every plogp term of each candidate move's code-length
     change; returns the module of each node."""
-    n = level.n
+    n = len(links)
+    out_rate = [sum(adj.values()) for adj in links]
+    rate = [float(x) for x in rate]
     module = list(range(n))
-    q_mod = list(level.out_rate)
-    p_mod = list(level.rate)
+    q_mod = list(out_rate)
+    p_mod = list(rate)
     sum_q = sum(q_mod)
     plp = _plogp
 
@@ -208,15 +210,14 @@ def local_move_reference(level, rng, tol):
         for v in rng.permutation(n):
             v = int(v)
             a = module[v]
-            links = level.adj[v]
-            if not links:
+            if not links[v]:
                 continue
             to_mod = {}
-            for u, w in links.items():
+            for u, w in links[v].items():
                 cu = module[u]
                 to_mod[cu] = to_mod.get(cu, 0.0) + w
-            d_v = level.out_rate[v]
-            p_v = level.rate[v]
+            d_v = out_rate[v]
+            p_v = rate[v]
             k_va = to_mod.get(a, 0.0)
             q_a, p_a = q_mod[a], p_mod[a]
             q_a_new = q_a - d_v + 2.0 * k_va

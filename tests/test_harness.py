@@ -297,6 +297,26 @@ class TestCli:
                      "--edges", str(edges)]) == 1
         assert "self-loop" in capsys.readouterr().err
 
+    def test_predict_rejects_zero_node_graph(self, tmp_path, capsys):
+        from commselect import save_model
+        model_path = tmp_path / "m.txt"
+        save_model(manual_model([1.0, 1.0, 1.0]), model_path)
+        edges = tmp_path / "empty.txt"
+        edges.write_text("# nodes 0\n")
+        assert main(["predict", "--model", str(model_path),
+                     "--edges", str(edges)]) == 1
+        assert "cannot load inputs: " in capsys.readouterr().err
+
+    def test_sweep_aggregate_beside_output_in_dotted_directory(self, tmp_path):
+        out_dir = tmp_path / "runs.v2"
+        out_dir.mkdir()
+        rc = main(["sweep", "--n", "48", "--avg-k", "8", "--k-max", "16",
+                   "--mu-t-grid", "0.3", "--mu-w-grid", "0.2", "--reps", "1",
+                   "--algorithms", "copra_uw", "--out", str(out_dir / "results")])
+        assert rc == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["results",
+                                                             "results_agg"]
+
     def test_predict_none_vote_runs_the_class_report_scores(self, tmp_path,
                                                             capsys):
         # both none-classifiers fire, so every vote is None

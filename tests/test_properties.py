@@ -294,27 +294,88 @@ def peak_labels(g, labels, weighted, v):
     return {lab for lab, x in support.items() if x == max(support.values())}
 
 
-def test_local_move_matches_reference():
+def infomap_case(case, monkeypatch):
+    """A random graph, the case's generator after drawing it, and what one
+    Infomap restart on it passes through: the (links, visit rates, modules)
+    of each level's node moving, and the graph and result of each
+    contraction."""
+    rng = case_rng(11, case)
+    g = random_graph(rng, int(rng.integers(2, 30)),
+                     p=float(rng.uniform(0.05, 0.7)),
+                     weighted=bool(rng.integers(2)))
+    moves, contractions = [], []
+    move, contract = infomap._local_move, infomap._contract
+
+    def record_move(links, rate, move_rng, tol):
+        module = move(links, rate, move_rng, tol)
+        moves.append((links, rate, module))
+        return module
+
+    def record_contract(level_g, rate, module):
+        up = contract(level_g, rate, module)
+        contractions.append((level_g, up))
+        return up
+
+    with monkeypatch.context() as patch:
+        patch.setattr(infomap, "_local_move", record_move)
+        patch.setattr(infomap, "_contract", record_contract)
+        infomap_detect(g, InfomapConfig(seed=int(rng.integers(2 ** 32)),
+                                        outer_passes=1))
+    return rng, g, moves, contractions
+
+
+def test_local_move_matches_reference(monkeypatch):
     """Infomap's node moving with cached module terms returns the module
-    lists of the reference that recomputes every term, on base levels and
-    on contracted ones, and draws the same visiting orders."""
+    lists of the reference that recomputes every term, on base levels built
+    by ``detect`` and on levels contracted by ``_contract``, and draws the
+    same visiting orders."""
+    contracted = 0
     for case in range(CASES):
-        rng = case_rng(11, case)
-        g = random_graph(rng, int(rng.integers(2, 30)),
-                         p=float(rng.uniform(0.05, 0.7)),
-                         weighted=bool(rng.integers(2)))
-        level = infomap._level_from_graph(g)
-        if rng.random() < 0.3:
-            module = infomap._local_move(level, rng, 1e-10)
-            if len(set(module)) < level.n:
-                level, _ = infomap._contract(level, module)
+        rng, _, moves, _ = infomap_case(case, monkeypatch)
+        links, rate, _ = moves[0]
+        if rng.random() < 0.3 and len(moves) > 1:
+            links, rate, _ = moves[1]
+            contracted += 1
         tol = float(rng.choice([1e-10, 1e-3]))
         seed = int(rng.integers(2 ** 32))
         ref_rng = np.random.default_rng(seed)
         new_rng = np.random.default_rng(seed)
-        assert infomap._local_move(level, new_rng, tol) == \
-            local_move_reference(level, ref_rng, tol), case
+        assert infomap._local_move(links, rate, new_rng, tol) == \
+            local_move_reference(links, rate, ref_rng, tol), case
         assert same_stream_position(ref_rng, new_rng), case
+    assert contracted >= CASES // 4
+
+
+def test_agglomeration_never_raises_code_length(monkeypatch):
+    """On the graphs of the local-move suite, the code length of the base
+    partition composed through the levels never rises from one level to the
+    next, and ``_contract`` conserves flow: every level's visit rates sum to
+    1, and a contracted graph's total weight is the rate on the links between
+    modules of the level below."""
+    contracted = 0
+    for case in range(CASES):
+        _, g, moves, contractions = infomap_case(case, monkeypatch)
+        assert len(contractions) == len(moves) - 1, case
+        assignment = np.arange(g.n)  # base node -> node of the level
+        length = map_equation(g, Partition(assignment))
+        for k, (links, rate, module) in enumerate(moves):
+            assert rate.sum() == pytest.approx(1.0, abs=1e-12), case
+            module = np.asarray(module)
+            composed = Partition.from_labels(module[assignment])
+            composed_length = map_equation(g, composed)
+            assert composed_length <= length, (case, k)
+            length = composed_length
+            if k == len(contractions):
+                break
+            level_g, (up_g, up_rate, dense) = contractions[k]
+            assert infomap._links(level_g) == links, case
+            assert up_rate is moves[k + 1][1], case
+            u, v, w = level_g.edge_arrays()
+            assert up_g.total_weight == pytest.approx(
+                w[module[u] != module[v]].sum(), abs=1e-12), case
+            assignment = dense[assignment]
+            contracted += 1
+    assert contracted >= CASES
 
 
 def test_detectors_match_reference_loops(monkeypatch):
