@@ -388,13 +388,20 @@ def _same_pool(pool, picks, rng):
     return np.argsort(pool, kind="stable")[(np.cumsum(count) - count)[p] + offset]
 
 
+def _absent(keys, k):
+    """Whether each of ``k`` is missing from the sorted array ``keys``."""
+    at = np.minimum(np.searchsorted(keys, k), keys.size - 1)
+    return keys[at] != k
+
+
 def _swap(a, b, kind, comm, key, e, f, u1, v1, u2, v2, ok, plan=None,
           limit=None):
     """Batched double-edge swap, in place: link e[i] becomes (u1, u2) and
     link f[i] becomes (v1, v2), where {u1, v1} and {u2, v2} are the
     endpoints of e[i] and f[i]. A candidate qualifies where ``ok`` holds and
-    it makes no self-loop and no link already in ``key`` (the packed keys of
-    the current links). In candidate order, each qualifying swap is taken,
+    it makes no self-loop and no link already in ``key`` (the sorted packed
+    keys of the current links, looked up only for candidates that pass the
+    cheap tests). In candidate order, each qualifying swap is taken,
     up to ``limit``, when no earlier one uses its links or new links. With
     ``plan``, each node's planned cross links, no earlier one may use its
     nodes, and none may take the last cross link of a node planned to have
@@ -403,8 +410,9 @@ def _swap(a, b, kind, comm, key, e, f, u1, v1, u2, v2, ok, plan=None,
     n = comm.size
     k1 = np.minimum(u1, u2) * n + np.maximum(u1, u2)
     k2 = np.minimum(v1, v2) * n + np.maximum(v1, v2)
-    i = np.flatnonzero(ok & (u1 != u2) & (v1 != v2)
-                       & ~np.isin(k1, key) & ~np.isin(k2, key))
+    i = np.flatnonzero(ok & (u1 != u2) & (v1 != v2))
+    i = i[_absent(key, k1[i])]
+    i = i[_absent(key, k2[i])]
     units = (e, f, -1 - k1, -1 - k2) if plan is None else (u1, v1, u2, v2)
     _, first, inverse = np.unique(np.stack([x[i] for x in units], axis=1),
                                   return_index=True, return_inverse=True)
@@ -433,14 +441,18 @@ def _repair(a, b, kind, comm, plan, rng):
     an internal link may swap with any link, and an external one trades with
     an internal link of another community, making two cross links, while no
     node loses its last planned cross link. Raises when that stalls too.
+    Each round sorts the link keys once: the sort finds the repeats and
+    serves ``_swap``'s lookups.
     """
     n, nc = comm.size, int(comm.max()) + 1
     for widened in (False, True):
         best, since = math.inf, 0
         while True:
             key = np.minimum(a, b) * n + np.maximum(a, b)
-            bad = np.ones(a.size, dtype=bool)
-            bad[np.unique(key, return_index=True)[1]] = False    # repeats
+            by_key = np.argsort(key, kind="stable")
+            key = key[by_key]
+            bad = np.zeros(a.size, dtype=bool)
+            bad[by_key[1:]] = key[1:] == key[:-1]   # all but the first copy
             bad |= (a == b) | (kind & (comm[a] == comm[b]))
             count = int(bad.sum())
             if count == 0:
@@ -500,7 +512,7 @@ def _steer(a, b, kind, comm, plan, target, slack, rng):
         below = (lost & (have <= plan[ends])).sum(axis=0)
         order = np.lexsort((rng.random(m), below))
         h, g = h[order], g[order]
-        key = np.minimum(a, b) * n + np.maximum(a, b)
+        key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
         _swap(a, b, kind, comm, key, link[h], link[g], near[h], far[h],
               near[g], far[g], np.ones(m, dtype=bool), plan,
               math.ceil((gap - slack) / 2))

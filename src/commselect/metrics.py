@@ -115,31 +115,32 @@ def _entropy(counts: np.ndarray, n: int) -> float:
 def nmi(a: Partition, b: Partition) -> float:
     """Normalized mutual information 2*I(A;B)/(H(A)+H(B)) between partitions.
 
-    Computed from the co-membership contingency table; the log base cancels.
-    Degenerate conventions: both partitions single-community -> 1.0, exactly
-    one single-community -> 0.0. Raises if the node sets differ.
+    Computed from the nonzero cells of the co-membership contingency table,
+    found by one sort of packed (a, b) keys, so memory stays O(n); the log
+    base cancels. Degenerate conventions: both partitions single-community
+    -> 1.0, exactly one single-community -> 0.0. Raises if the node sets
+    differ.
     """
     if a.n != b.n:
         raise ValueError(f"node-set mismatch: {a.n} vs {b.n} nodes")
     n = a.n
     ca, cb = a.community_count, b.community_count
-    cont = np.zeros((ca, cb), dtype=np.int64)
-    np.add.at(cont, (a.membership, b.membership), 1)
-    row = cont.sum(axis=1)
-    col = cont.sum(axis=0)
+    cell, nij = np.unique(a.membership * cb + b.membership, return_counts=True)
+    row = np.bincount(a.membership, minlength=ca)
+    col = np.bincount(b.membership, minlength=cb)
     h_a = _entropy(row, n)
     h_b = _entropy(col, n)
     if h_a == 0.0 and h_b == 0.0:
         return 1.0
     if h_a == 0.0 or h_b == 0.0:
         return 0.0
-    nz = cont > 0
-    if ((nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all()):
-        # identical partitions up to relabeling: exactly 1 by definition,
-        # and this sidesteps last-ulp rounding in the entropy sums
+    if cell.size == ca == cb:
+        # identical partitions up to relabeling (ids are dense, so each
+        # community meets exactly one of the other's): exactly 1 by
+        # definition, and this sidesteps last-ulp rounding in the entropy sums
         return 1.0
-    nij = cont[nz].astype(np.float64)
-    outer = np.outer(row, col)[nz]
+    outer = row[cell // cb] * col[cell % cb]
+    nij = nij.astype(np.float64)
     info = float((nij / n * np.log(nij * n / outer)).sum())
     val = 2.0 * info / (h_a + h_b)
     return min(max(val, 0.0), 1.0)

@@ -7,6 +7,7 @@ Run with:
 The grid sweep backing criteria 3-5 generates 8 x 8 x 18 = 1152 networks and
 runs all four detector variants on each; expect the full suite to take tens
 of minutes on one core. Every seed is fixed; reruns are bit-identical.
+Every test here is marked ``slow``: ``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -25,6 +26,8 @@ from conftest import (build_complete, build_path, build_star, build_two_k3,
                       build_two_k3_bridge)
 from oracles import brute_force_min_code_length
 import test_properties
+
+pytestmark = pytest.mark.slow
 
 GRID = tuple(round(0.1 * i, 1) for i in range(1, 9))
 FIG_BASE = GenParams(n=100, mu_t=0.0, mu_w=0.0, avg_k=25.0, tau1=2.0,

@@ -219,17 +219,17 @@ class TestCli:
         assert e1.read_bytes() != e2.read_bytes()
 
     def test_full_pipeline(self, tmp_path, capsys):
+        # at n=100, mu_t 0.2 is unweighted-won, (0.7, 0.2) weighted-won and
+        # (0.7, 0.7) lost by all four, so the training split holds all
+        # three classes
         detail = tmp_path / "detail.csv"
-        rc = main(["sweep", "--n", "48", "--avg-k", "8", "--k-max", "16",
-                   "--mu-t-grid", "0.3,0.6", "--mu-w-grid", "0.2",
-                   "--reps", "4", "--master-seed", "3",
-                   "--out", str(detail)])
+        rc = main(["sweep", "--n", "100", "--mu-t-grid", "0.2,0.7",
+                   "--mu-w-grid", "0.2,0.7", "--reps", "3",
+                   "--master-seed", "3", "--out", str(detail)])
         assert rc == 0
         assert detail.exists()
         assert (tmp_path / "detail_agg.csv").exists()
 
-        # training on such a tiny sweep may legitimately miss a class;
-        # verify the failure mode is the documented one if it happens
         model_path = tmp_path / "model.txt"
         report_path = tmp_path / "report.txt"
         rc = main(["train", "--results", str(detail),
@@ -237,31 +237,43 @@ class TestCli:
                    "--report-out", str(report_path),
                    "--train-fraction", "0.75", "--threshold", "0.6",
                    "--split-seed", "2"])
-        err = capsys.readouterr()
-        if rc != 0:
-            assert "missing from the training split" in err.err
-            return
+        assert rc == 0, capsys.readouterr().err
         assert model_path.exists()
+        assert "networks: 12 (train 9, test 3)" in report_path.read_text()
+        capsys.readouterr()
 
         edges = tmp_path / "one.edges"
         truth = tmp_path / "one.truth"
-        assert main(["generate", "--n", "48", "--avg-k", "8", "--k-max", "16",
-                     "--mu-t", "0.3", "--mu-w", "0.2", "--seed", "11",
+        assert main(["generate", "--n", "100", "--mu-t", "0.7",
+                     "--mu-w", "0.2", "--seed", "11",
                      "--out-edges", str(edges),
                      "--out-truth", str(truth)]) == 0
+        capsys.readouterr()
         part_out = tmp_path / "detected.txt"
         rc = main(["predict", "--model", str(model_path),
                    "--edges", str(edges), "--detect-out", str(part_out)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "predicted_class:" in out
-        assert part_out.exists()
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split(": ")[1] in {c.value for c in ClassLabel}
+        assert out[1].startswith("c_uw: ") and out[2].startswith("c_w: ")
+        assert all(line.startswith("margin ") for line in out[3:6])
+        assert out[6].startswith("detected with ")
+        assert len(part_out.read_text().splitlines()) == 100
 
         sel = tmp_path / "selection.csv"
         rc = main(["report", "--results", str(detail),
                    "--model", str(model_path), "--out", str(sel)])
         assert rc == 0
-        assert sel.exists()
+        assert capsys.readouterr().out.startswith("wrote 4 cell rows")
+        header, *lines = sel.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert sorted((r["mu_t"], r["mu_w"]) for r in rows) == [
+            ("0.2", "0.2"), ("0.2", "0.7"), ("0.7", "0.2"), ("0.7", "0.7")]
+        for r in rows:
+            assert r["n"] == "3"
+            best = (float(r["mean_best_weighted"]),
+                    float(r["mean_best_unweighted"]))
+            assert min(best) - 1e-9 <= float(r["mean_selected"]) <= max(best) + 1e-9
 
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,22 @@ class TestGenerate:
         assert a.truth == b.truth
         assert (a.achieved_mu_t, a.achieved_mu_w) == \
             (b.achieved_mu_t, b.achieved_mu_w)
+
+    @pytest.mark.parametrize("params, expected", [
+        (GenParams(n=1000, mu_t=0.2, mu_w=0.3, seed=1), "1af305ebd596cf0e"),
+        (GenParams(n=100, mu_t=0.2, mu_w=0.3, seed=0), "2341bef95fa64dbb"),
+        (GenParams(n=100, mu_t=0.7, mu_w=0.3, seed=0), "39835b3491f9f0c0"),
+    ])
+    def test_output_pinned(self, params, expected):
+        # a speed-up of the generator must leave its networks unchanged:
+        # links and truth exactly, weights to 9 significant digits
+        net = generate(params)
+        u, v, w = net.graph.edge_arrays()
+        h = hashlib.sha256()
+        for x in (u, v, net.truth.membership):
+            h.update(np.asarray(x, dtype="<i8").tobytes())
+        h.update(" ".join(f"{x:.8e}" for x in w).encode())
+        assert h.hexdigest()[:16] == expected
 
     def test_fig_scale_parameters_hit_tolerance(self):
         p = GenParams(n=100, mu_t=0.1, mu_w=0.1, seed=9)

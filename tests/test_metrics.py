@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from commselect import (Graph, Partition, local_clustering_uw,
@@ -115,6 +118,32 @@ class TestNMI:
             assert nmi(a, b) == pytest.approx(
                 nmi_reference(list(a.membership), list(b.membership)),
                 abs=1e-12)
+        # many communities, most cells of the contingency table empty
+        for _ in range(40):
+            n = int(rng.integers(2, 200))
+            a = Partition.from_labels(rng.integers(0, rng.integers(1, 40), size=n))
+            b = Partition.from_labels(rng.integers(0, rng.integers(1, 40), size=n))
+            assert nmi(a, b) == pytest.approx(
+                nmi_reference(list(a.membership), list(b.membership)),
+                abs=1e-12)
+            relabelled = Partition(rng.permutation(a.community_count)[a.membership])
+            assert nmi(a, relabelled) == 1.0
+
+    def test_memory_linear_in_nodes(self):
+        # singletons against groups of 10: a dense contingency table would
+        # hold 10^5 x 10^4 counts (8 GB)
+        n = 10 ** 5
+        a, b = Partition(np.arange(n)), Partition(np.arange(n) // 10)
+        tracemalloc.start()
+        try:
+            value = nmi(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A determines B, so I(A;B) = H(B) = ln(n / 10), and H(A) = ln(n)
+        h_a, h_b = np.log(n), np.log(n / 10)
+        assert value == pytest.approx(2 * h_b / (h_a + h_b), abs=1e-12)
+        assert peak < 8 * 2 ** 20
 
 
 class TestModularity:
