@@ -1,17 +1,21 @@
 """Command-line pipeline: generate / sweep / train / predict / report.
 
 Every command is a pure function of its arguments, input files, and seeds;
-reruns produce byte-identical outputs. The environment variable
-``COMMSELECT_SEED`` overrides the seed of ``generate`` and the master seed of
-``sweep``. Any option may also be supplied through ``--config FILE`` holding
-``key=value`` lines with the same names as the long flags (underscores for
-dashes); explicit flags win over the file.
+reruns produce byte-identical outputs. An unset option takes the default of
+the ``GenParams``, ``SweepConfig`` or ``SvmHyper`` field or ``train_eval``
+parameter it feeds, as its ``--help`` shows. ``COMMSELECT_SEED`` overrides
+the seed of ``generate`` and the master seed of ``sweep``.
+
+Every command takes ``--config FILE`` of ``key=value`` lines, each key a long
+flag's name with underscores for dashes. A key that is exactly the name of an
+option of the command sets it, required options included; any other key is
+ignored, so one file can serve several commands. Flags win over the file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import os
 import sys
 
@@ -26,8 +30,11 @@ from .selector import (SvmHyper, algorithm_class, class_to_run,
 ENV_SEED = "COMMSELECT_SEED"
 
 
-def _read_config(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_flags(command: argparse.ArgumentParser, path) -> list[str]:
+    """``--key=value`` for each config line whose key is exactly the name of
+    an option of ``command``; argparse would expand a prefix of one (``mu_t``
+    into ``--mu-t-grid``)."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -35,27 +42,27 @@ def _read_config(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise SystemExit(f"config line {lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
+            key, val = (part.strip() for part in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            action = command._option_string_actions.get(flag)
+            if action and action.dest == key and key not in ("help", "config"):
+                flags.append(f"{flag}={val}")
+    return flags
 
 
-class _Resolver:
-    """Merges CLI values, config-file values, and hard defaults."""
+def _params(owner) -> dict:
+    """Each parameter of a function or a dataclass to its default."""
+    return {name: prm.default
+            for name, prm in inspect.signature(owner).parameters.items()}
 
-    def __init__(self, args):
-        self.args = vars(args)
-        cfg_path = self.args.get("config")
-        self.config = _read_config(cfg_path) if cfg_path else {}
 
-    def get(self, name, default, cast=str):
-        cli_val = self.args.get(name)
-        if cli_val is not None:
-            return cli_val
-        if name in self.config:
-            raw = self.config[name]
-            return cast(raw)
-        return default
+def _given(args, owner, prefix="", env_seed=None) -> dict:
+    """The parameters of ``owner`` whose option (``prefix`` + name) is set,
+    with ``COMMSELECT_SEED``, if set, as parameter ``env_seed``."""
+    values = {name: getattr(args, prefix + name, None) for name in _params(owner)}
+    if env_seed and ENV_SEED in os.environ:
+        values[env_seed] = int(os.environ[ENV_SEED])
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -66,15 +73,19 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.replace(",", " ").split())
 
 
-def _add_config_flag(p):
-    p.add_argument("--config", metavar="FILE",
-                   help="key=value file supplying defaults for any option")
+def _flag(p, name, cast, text, owner=None, field=None):
+    """Add ``--name``, unset; its help shows the default of ``owner``'s
+    parameter ``field`` (by default ``name``)."""
+    default = _params(owner).get(field or name) if owner else None
+    if default not in (None, inspect.Parameter.empty):
+        shown = ",".join(default) if isinstance(default, tuple) else f"{default:g}"
+        text += f" (default {shown})"
+    p.add_argument("--" + name.replace("_", "-"), type=cast, help=text)
 
 
-# help for each generator flag; "(default ...)" is added from GenParams,
-# except for the fields whose defaults resolve from other fields
+# help for each GenParams flag; _flag adds the "(default ...)" a field sets
 _GEN_HELP = {
-    "n": "node count",
+    "n": "node count (default %(default)s)",
     "mu_t": "topological mixing in [0,1]",
     "mu_w": "weight mixing in [0,1]",
     "avg_k": "target mean degree",
@@ -84,52 +95,24 @@ _GEN_HELP = {
     "k_max": "maximum degree (default n/2)",
     "s_min": "minimum community size (default max(2, avg_k/2))",
     "s_max": "maximum community size (default n/2)",
+    "seed": f"generator seed; ${ENV_SEED} overrides",
     "mix_tolerance": "allowed |achieved - target| on mu_t",
 }
-# GenParams requires n; the command line defaults it
-_CLI_DEFAULTS = {"n": 100}
 
 
-def _gen_fields(with_mixing):
-    """(field, default, type) of each GenParams field set by a flag."""
-    for fld in dataclasses.fields(GenParams):
-        if fld.name == "seed" or (not with_mixing and fld.name.startswith("mu_")):
-            continue
-        default = _CLI_DEFAULTS.get(fld.name, fld.default)
-        yield (fld.name, None if default is dataclasses.MISSING else default,
-               int if "int" in str(fld.type) else float)
-
-
-def _add_gen_params(p, with_mixing=True):
-    for name, default, cast in _gen_fields(with_mixing):
-        text = _GEN_HELP[name]
-        if default is not None:
-            text += f" (default {default:g})"
-        p.add_argument("--" + name.replace("_", "-"), type=cast, dest=name,
-                       help=text)
-
-
-def _gen_params_from(res: _Resolver, with_mixing=True, seed=0) -> GenParams:
-    kwargs = {name: res.get(name, default, cast)
-              for name, default, cast in _gen_fields(with_mixing)}
-    if not with_mixing:
-        kwargs.update(mu_t=0.0, mu_w=0.0)
-    elif kwargs["mu_t"] is None or kwargs["mu_w"] is None:
-        raise SystemExit("--mu-t and --mu-w are required")
-    return GenParams(seed=seed, **kwargs)
-
-
-def _env_seed(fallback: int) -> int:
-    if ENV_SEED in os.environ:
-        return int(os.environ[ENV_SEED])
-    return fallback
+def _add_gen_params(p, skip=()):
+    for name, prm in inspect.signature(GenParams).parameters.items():
+        if name not in skip:
+            _flag(p, name, int if "int" in str(prm.annotation) else float,
+                  _GEN_HELP[name], GenParams)
+    p.set_defaults(n=100)       # GenParams requires n
 
 
 def cmd_generate(args) -> int:
-    res = _Resolver(args)
-    seed = _env_seed(res.get("seed", 0, int))
+    if args.mu_t is None or args.mu_w is None:
+        raise SystemExit("--mu-t and --mu-w are required")
     try:
-        params = _gen_params_from(res, seed=seed)
+        params = GenParams(**_given(args, GenParams, env_seed="seed"))
         net = generate(params)
     except (ValueError, GenerationError) as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
@@ -149,30 +132,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    res = _Resolver(args)
-    master_seed = _env_seed(res.get("master_seed", 0, int))
-    mu_t_grid = res.get("mu_t_grid", None, _float_list)
-    mu_w_grid = res.get("mu_w_grid", None, _float_list)
-    if mu_t_grid is None or mu_w_grid is None:
+    if args.mu_t_grid is None or args.mu_w_grid is None:
         print("--mu-t-grid and --mu-w-grid are required", file=sys.stderr)
         return 1
     try:
-        base = _gen_params_from(res, with_mixing=False, seed=0)
         config = harness.SweepConfig(
-            base=base,
-            mu_t_grid=mu_t_grid,
-            mu_w_grid=mu_w_grid,
-            reps=res.get("reps", 25, int),
-            algorithms=res.get("algorithms", harness.ALGORITHM_ORDER, _str_list),
-            master_seed=master_seed,
-            workers=res.get("workers", 1, int),
-        )
+            base=GenParams(mu_t=0.0, mu_w=0.0, **_given(args, GenParams)),
+            **_given(args, harness.SweepConfig, env_seed="master_seed"))
     except (TypeError, ValueError) as exc:
         print(f"bad sweep configuration: {exc}", file=sys.stderr)
         return 1
     rows = harness.run_sweep(config)
     harness.write_detail_csv(rows, args.out)
-    agg_path = args.agg_out or _sibling(args.out, "_agg")
+    agg_path = args.agg_out or "{}_agg{}".format(*os.path.splitext(args.out))
     harness.write_agg_csv(rows, agg_path)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"wrote {len(rows)} detail rows to {args.out} "
@@ -180,25 +152,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sibling(path: str, suffix: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return f"{stem}{suffix}{ext}"
-
-
 def cmd_train(args) -> int:
-    res = _Resolver(args)
-    rows = harness.read_detail_csv(args.results)
-    hyper = SvmHyper(c=res.get("svm_c", 1.0, float),
-                     epochs=res.get("svm_epochs", 200, int),
-                     seed=res.get("svm_seed", 0, int))
     try:
+        rows = harness.read_detail_csv(args.results)
         result = harness.train_eval(
-            rows,
-            train_fraction=res.get("train_fraction", 0.8, float),
-            split_seed=res.get("split_seed", 0, int),
-            threshold=res.get("threshold", 0.6, float),
-            hyper=hyper)
-    except ValueError as exc:
+            rows, hyper=SvmHyper(**_given(args, SvmHyper, prefix="svm_")),
+            **_given(args, harness.train_eval))
+    except (OSError, ValueError) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 1
     save_model(result.model, args.model_out)
@@ -257,7 +217,9 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="commselect",
         description="Weighted community-detection benchmarks and "
@@ -265,79 +227,82 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate one benchmark network")
-    _add_config_flag(p)
     _add_gen_params(p)
-    p.add_argument("--seed", type=int, help="generator seed (default 0); "
-                   f"${ENV_SEED} overrides")
-    p.add_argument("--out-edges", required=True, dest="out_edges",
-                   help="edge-list output path")
-    p.add_argument("--out-truth", required=True, dest="out_truth",
+    p.add_argument("--out-edges", required=True, help="edge-list output path")
+    p.add_argument("--out-truth", required=True,
                    help="ground-truth partition output path")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sweep", help="sweep a (mu_t, mu_w) grid, CSV out")
-    _add_config_flag(p)
-    _add_gen_params(p, with_mixing=False)
-    p.add_argument("--mu-t-grid", dest="mu_t_grid", type=_float_list,
-                   help="comma-separated mu_t values")
-    p.add_argument("--mu-w-grid", dest="mu_w_grid", type=_float_list,
-                   help="comma-separated mu_w values")
-    p.add_argument("--reps", type=int, help="networks per cell (default 25)")
-    p.add_argument("--algorithms", type=_str_list,
-                   help="subset of copra_uw,copra_w,infomap_uw,infomap_w")
-    p.add_argument("--master-seed", type=int, dest="master_seed",
-                   help=f"sweep master seed (default 0); ${ENV_SEED} overrides")
-    p.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    _add_gen_params(p, skip=("mu_t", "mu_w", "seed"))
+    _flag(p, "mu_t_grid", _float_list, "comma-separated mu_t values")
+    _flag(p, "mu_w_grid", _float_list, "comma-separated mu_w values")
+    for name, cast, text in (
+            ("reps", int, "networks per cell"),
+            ("algorithms", _str_list, "subset of the detector variants"),
+            ("master_seed", int, f"sweep master seed; ${ENV_SEED} overrides"),
+            ("workers", int, "parallel workers")):
+        _flag(p, name, cast, text, harness.SweepConfig)
     p.add_argument("--out", required=True, help="detail CSV output path")
-    p.add_argument("--agg-out", dest="agg_out",
+    p.add_argument("--agg-out",
                    help="aggregate CSV path (default: sibling *_agg.csv)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train", help="label networks, train and evaluate "
                        "the selector")
-    _add_config_flag(p)
     p.add_argument("--results", required=True, help="detail CSV from sweep")
-    p.add_argument("--model-out", required=True, dest="model_out")
-    p.add_argument("--report-out", dest="report_out")
-    p.add_argument("--predictions-out", dest="predictions_out",
+    p.add_argument("--model-out", required=True)
+    p.add_argument("--report-out")
+    p.add_argument("--predictions-out",
                    help="per-test-network CSV of true vs predicted class")
-    p.add_argument("--train-fraction", type=float, dest="train_fraction",
-                   help="fraction of networks used for training (default 0.8)")
-    p.add_argument("--split-seed", type=int, dest="split_seed",
-                   help="train/test shuffle seed (default 0)")
-    p.add_argument("--threshold", type=float,
-                   help="NMI below which a network is labeled none (default 0.6)")
-    p.add_argument("--svm-c", type=float, dest="svm_c",
-                   help="soft-margin C (default 1.0)")
-    p.add_argument("--svm-epochs", type=int, dest="svm_epochs",
-                   help="training epochs (default 200)")
-    p.add_argument("--svm-seed", type=int, dest="svm_seed",
-                   help="SVM shuffle seed (default 0)")
+    for name, cast, text in (
+            ("train_fraction", float, "fraction of networks used for training"),
+            ("split_seed", int, "train/test shuffle seed"),
+            ("threshold", float, "NMI below which a network is labeled none")):
+        _flag(p, name, cast, text, harness.train_eval)
+    for field, cast, text in (("c", float, "soft-margin C"),
+                              ("epochs", int, "training epochs"),
+                              ("seed", int, "SVM shuffle seed")):
+        _flag(p, "svm_" + field, cast, text, SvmHyper, field)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="recommend an algorithm class for a "
                        "network file")
-    _add_config_flag(p)
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--edges", required=True, help="edge-list file")
-    p.add_argument("--detect-out", dest="detect_out",
+    p.add_argument("--detect-out",
                    help="also run the recommended class's best algorithm and "
                         "write the partition here")
-    p.add_argument("--detect-seed", type=int, dest="detect_seed", default=0)
+    p.add_argument("--detect-seed", type=int, default=0,
+                   help="seed of that run (default %(default)s)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="per-cell NMI of classifier-selected "
                        "class vs each class's best")
-    _add_config_flag(p)
     p.add_argument("--results", required=True, help="detail CSV from sweep")
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--out", required=True, help="comparison CSV output path")
     p.set_defaults(func=cmd_report)
-    return parser
+
+    for p in sub.choices.values():
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value file setting any option of this command")
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
+    find_config = argparse.ArgumentParser(add_help=False)
+    find_config.add_argument("--config")
+    path = find_config.parse_known_args(argv)[0].config
+    if path and argv[0] in commands:
+        # the file's flags go first, so the command line's own win
+        try:
+            argv[1:1] = _config_flags(commands[argv[0]], path)
+        except OSError as exc:
+            parser.error(f"cannot read --config: {exc}")
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

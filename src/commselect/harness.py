@@ -179,7 +179,11 @@ def write_agg_csv(rows: list[dict], path) -> None:
 def read_detail_csv(path) -> list[dict]:
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in DETAIL_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for rec in reader:
             row = dict(rec)
             row["rep"] = int(row["rep"])
             for col in ("mu_t", "mu_w", "nmi", "c_uw", "c_w",
@@ -199,10 +203,6 @@ class NetworkRecord:
     scores: dict[str, float]
     achieved_mu_t: float
     achieved_mu_w: float
-
-    @property
-    def key(self):
-        return (self.mu_t, self.mu_w, self.rep)
 
 
 def collect_networks(rows: list[dict]) -> list[NetworkRecord]:
@@ -253,7 +253,7 @@ def _class_grid(records_by_cell, mu_t_values, mu_w_values, pick) -> str:
 
 
 def train_eval(rows: list[dict], train_fraction: float = 0.8,
-               split_seed: int = 0, threshold: float = 0.6,
+               split_seed: int = 0, threshold=SelectorModel.nmi_threshold,
                hyper: SvmHyper = SvmHyper()) -> TrainEvalResult:
     """Label networks, split, train the selector, and report test accuracy.
 

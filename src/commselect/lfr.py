@@ -328,10 +328,13 @@ _STALL_ROUNDS = 10
 _PARTNERS = 8
 # strength-fit sweeps before assign_weights gives up
 _WEIGHT_SWEEPS = 500
+# seed-perturbed attempts before generate gives up
+_ATTEMPTS = 10
 
 
 def build_topology(degrees, sizes, mu_t, rng,
-                   mix_tolerance: float = 0.02) -> tuple[Graph, Partition]:
+                   mix_tolerance: float = GenParams.mix_tolerance
+                   ) -> tuple[Graph, Partition]:
     """Build a simple unit-weight graph realising the requested mixing.
 
     Degrees are split by ``_split_stubs`` and nodes placed into communities
@@ -624,13 +627,13 @@ def generate(params: GenParams) -> PlantedNetwork:
     """Produce a planted benchmark network for ``params``.
 
     Composes degree sampling, community-size sampling, topology construction
-    and weight fitting, retrying up to ten times with seed-perturbed RNG
-    streams when a stage rejects. The result is a pure function of
+    and weight fitting, retrying up to ``_ATTEMPTS`` times with seed-perturbed
+    RNG streams when a stage rejects. The result is a pure function of
     ``params`` (byte-identical across repeats); the final error names the
     stage that kept failing.
     """
     last: GenerationError | None = None
-    for attempt in range(10):
+    for attempt in range(_ATTEMPTS):
         rng = spawn_rng(params.seed, attempt)
         try:
             return _generate_once(params, rng)
@@ -638,7 +641,7 @@ def generate(params: GenParams) -> PlantedNetwork:
             last = exc
     raise GenerationError(
         last.stage if last else "generate",
-        f"all 10 attempts failed; last failure: {last}")
+        f"all {_ATTEMPTS} attempts failed; last failure: {last}")
 
 
 def _generate_once(params: GenParams, rng) -> PlantedNetwork:

@@ -193,7 +193,7 @@ def train_binary(data: Sequence[tuple[FeatureVector, int]],
 
 def train_selector(dataset: Sequence[tuple[FeatureVector, ClassLabel]],
                    hyper: SvmHyper = SvmHyper(),
-                   nmi_threshold: float = 0.6) -> SelectorModel:
+                   nmi_threshold=SelectorModel.nmi_threshold) -> SelectorModel:
     """Fit the full three-way selector on (features, class) examples.
 
     Standardization is computed from the whole training set; each class pair

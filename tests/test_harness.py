@@ -365,3 +365,133 @@ class TestCli:
         lines = dict(ln.split(": ") for ln in out.strip().splitlines()
                      if ": " in ln)
         assert lines["c_uw"] == lines["c_w"]
+
+    def test_generate_requires_mixing(self, tmp_path):
+        with pytest.raises(SystemExit, match="--mu-t and --mu-w are required"):
+            main(["generate", "--mu-t", "0.3", "--out-edges",
+                  str(tmp_path / "e"), "--out-truth", str(tmp_path / "t")])
+
+    def test_predict_takes_detect_seed_from_config(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from commselect import harness, save_model
+        model_path = tmp_path / "m.txt"
+        save_model(manual_model([1.0, 1.0, 1.0]), model_path)
+        edges = tmp_path / "e.txt"
+        edges.write_text("0 1 1.0\n1 2 1.0\n2 0 1.0\n2 3 1.0\n")
+        seeds = []
+        run = harness.run_algorithm
+        monkeypatch.setattr(harness, "run_algorithm",
+                            lambda name, g, seed: seeds.append(seed)
+                            or run(name, g, seed))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model={model_path}\nedges={edges}\n"
+                       f"detect_out={tmp_path / 'p.txt'}\ndetect_seed=7\n")
+        assert main(["predict", "--config", str(cfg)]) == 0
+        assert seeds and set(seeds) == {7}
+        assert (tmp_path / "p.txt").exists()
+
+    def test_sweep_config_supplies_required_out(self, tmp_path):
+        out = tmp_path / "results.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={out}\nn=48\navg_k=8\nk_max=16\nmu_t_grid=0.3\n"
+                       "mu_w_grid=0.2\nreps=1\nalgorithms=copra_uw\n"
+                       "# keys of other commands, and unknown ones, are ignored\n"
+                       "seed=3\nmodel=m.txt\nseeed=5\n")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert len(read_detail_csv(out)) == 1
+        assert (tmp_path / "results_agg.csv").exists()
+
+    def test_config_key_must_name_the_option_exactly(self, tmp_path, capsys):
+        # argparse would read a bare --mu-t as a prefix of --mu-t-grid
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu_t=0.3\nmu_w_grid=0.2\n")
+        rc = main(["sweep", "--config", str(cfg), "--out",
+                   str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert ("--mu-t-grid and --mu-w-grid are required"
+                in capsys.readouterr().err)
+
+    def test_flag_beats_config_and_env_seed_beats_both(self, tmp_path,
+                                                       monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=48\navg_k=8\nk_max=16\nmu_t=0.3\nmu_w=0.3\nseed=5\n"
+                       f"out_edges={tmp_path / 'e'}\nout_truth={tmp_path / 't'}\n")
+
+        def seed_used(*flags):
+            assert main(["generate", "--config", str(cfg), *flags]) == 0
+            header = (tmp_path / "e").read_text().splitlines()
+            return next(ln for ln in header if ln.startswith("# seed "))
+
+        assert seed_used() == "# seed 5"
+        assert seed_used("--seed", "6") == "# seed 6"
+        monkeypatch.setenv("COMMSELECT_SEED", "99")
+        assert seed_used("--seed", "6") == "# seed 99"
+
+    def test_train_and_report_read_config(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        write_detail_csv(synth_rows(), results)
+        model_path = tmp_path / "model.txt"
+        sel = tmp_path / "selection.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"results={results}\nmodel_out={model_path}\n"
+                       f"model={model_path}\nout={sel}\nthreshold=0.5\n"
+                       "split_seed=1\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert "nmi threshold for 'none': 0.5\n" in capsys.readouterr().out
+        assert main(["train", "--config", str(cfg), "--threshold", "0.55"]) == 0
+        assert "nmi threshold for 'none': 0.55\n" in capsys.readouterr().out
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert sel.read_text().startswith("mu_t,mu_w,n,")
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_bad_results_file_is_one_line_error(self, tmp_path, capsys,
+                                                command):
+        from commselect import save_model
+        model_path = tmp_path / "m.txt"
+        save_model(manual_model([1.0, 1.0, 1.0]), model_path)
+        no_rep = tmp_path / "no_rep.csv"
+        no_rep.write_text(rows_to_csv(synth_rows(), [
+            c for c in DETAIL_COLUMNS if c != "rep"]))
+        for path, text in ((tmp_path / "missing.csv", "No such file"),
+                           (no_rep, "missing column(s) rep")):
+            args = [command, "--results", str(path)]
+            args += (["--model-out", str(tmp_path / "out.txt")]
+                     if command == "train" else
+                     ["--model", str(model_path), "--out",
+                      str(tmp_path / "out.csv")])
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert text in err and len(err.strip().splitlines()) == 1
+
+    def test_help_shows_every_library_default(self, capsys):
+        import dataclasses
+        import inspect
+        from commselect import SvmHyper
+        from commselect.harness import train_eval
+
+        def shown(value):
+            return ",".join(value) if isinstance(value, tuple) else f"{value:g}"
+
+        defaults = {f.name: f.default for f in dataclasses.fields(GenParams)}
+        defaults.update({f.name: f.default
+                         for f in dataclasses.fields(SweepConfig)})
+        defaults.update({"svm_" + f.name: f.default
+                         for f in dataclasses.fields(SvmHyper)})
+        defaults.update({k: p.default for k, p in
+                         inspect.signature(train_eval).parameters.items()})
+        defaults = {k: v for k, v in defaults.items()
+                    if v not in (None, dataclasses.MISSING, inspect.Parameter.empty)}
+        checked = set()
+        for command in ("generate", "sweep", "train", "predict", "report"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out.split("options:")[1]
+            for entry in text.split("\n  -")[1:]:
+                dest = entry.split()[0].lstrip("-").replace("-", "_")
+                if dest in defaults:
+                    assert (f"(default {shown(defaults[dest])})"
+                            in " ".join(entry.split())), (command, dest)
+                    checked.add(dest)
+        # every defaulted option of the four owners has a flag, bar the
+        # SvmHyper passed to train_eval whole
+        assert checked == set(defaults) - {"hyper"}
