@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, with_unit_weights
+from .graph import (Graph, Partition, neighbour_label_sums, runs,
+                    with_unit_weights)
 from .metrics import modularity
 from .seeds import check_seed, spawn_rng
 
@@ -45,17 +46,6 @@ class CopraConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-def _runs(*sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and length of each run of equal key tuples."""
-    size = sorted_keys[0].size
-    head = np.zeros(size + 1, dtype=bool)
-    head[0] = head[size] = True
-    for key in sorted_keys:
-        head[1:size] |= key[1:] != key[:-1]
-    bound = head.nonzero()[0]
-    return bound[:-1], bound[1:] - bound[:-1]
-
-
 def propagate_step(g: Graph, labels: np.ndarray, weighted: bool,
                    rng) -> np.ndarray:
     """One synchronous update of the per-node ``labels``; returns the new
@@ -64,32 +54,16 @@ def propagate_step(g: Graph, labels: np.ndarray, weighted: bool,
     its most supported labels, the ``floor(r * count)``-th smallest counting
     from 0, with one ``r = rng.random()`` per such node in ascending order.
 
-    Support is summed over the m (node, neighbour label) pairs, sorted stably
-    so each sum adds its links in adjacency order.
+    Support is summed over the m (node, neighbour label) pairs, each sum
+    adding its links in adjacency order.
     """
-    _, nbr, wt = g.csr()
-    rows, lab = g.csr_rows, labels[nbr]
-    width = int(labels.max()) + 1 if labels.size else 1
-    shift = nbr.size.bit_length()
-    if (g.n * width) >> (63 - shift) == 0:
-        # a stable sort as one int64 sort: each pair carries its index below
-        key = np.sort(((rows * width + lab) << shift) | np.arange(nbr.size))
-        order = key & ((1 << shift) - 1)
-    else:
-        order = np.lexsort((lab, rows))
-    # CSR rows are grouped by node already: only labels move within a row
-    lab = lab[order]
-    start, support = _runs(rows, lab)
-    node, pair_lab = rows[start], lab[start]
-    if weighted:
-        # bincount adds in input order: each label's links in adjacency order
-        support = np.bincount(np.repeat(np.arange(start.size), support),
-                              weights=wt[order])
-    node_start, node_size = _runs(node)
+    node, pair_lab, links, weight = neighbour_label_sums(g, labels)
+    support = weight if weighted else links
+    node_start, node_size = runs(node)
     peak = np.maximum.reduceat(support, node_start)
     at_peak = support == np.repeat(peak, node_size)
     cand, cand_node = pair_lab[at_peak], node[at_peak]
-    first, n_peak = _runs(cand_node)
+    first, n_peak = runs(cand_node)
     moves = ~np.logical_or.reduceat(cand == labels[cand_node], first)
     first, n_peak = first[moves], n_peak[moves]
     pick = first + (rng.random(n_peak.size) * n_peak).astype(np.int64)

@@ -8,7 +8,9 @@ with their weights, and the CSR adjacency derived from them, whose rows list
 each node's neighbours in ascending order, with the row of each entry. Node
 degrees, strengths and the total weight are computed from those arrays at
 construction. Both containers are immutable after construction and safe to
-share across threads or processes.
+share across threads or processes. ``neighbour_label_sums`` sums each node's
+links by the label of the neighbour at the other end, the step both
+detectors build their moves on.
 """
 
 from __future__ import annotations
@@ -198,6 +200,42 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition(n={self.n}, communities={self.community_count})"
+
+
+def runs(*sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal key tuples."""
+    size = sorted_keys[0].size
+    head = np.zeros(size + 1, dtype=bool)
+    head[0] = head[size] = True
+    for key in sorted_keys:
+        head[1:size] |= key[1:] != key[:-1]
+    bound = head.nonzero()[0]
+    return bound[:-1], bound[1:] - bound[:-1]
+
+
+def neighbour_label_sums(g: Graph, labels: np.ndarray):
+    """Every distinct (node, label of a neighbour) pair of g, sorted by
+    (node, label): the arrays (node, label, links, weight), where ``links``
+    counts the node's links to neighbours holding the label and ``weight``
+    sums their weights, added in adjacency order. O(m) memory.
+    """
+    _, nbr, wt = g.csr()
+    rows, lab = g.csr_rows, labels[nbr]
+    width = int(labels.max()) + 1 if labels.size else 1
+    shift = nbr.size.bit_length()
+    if (g.n * width) >> (63 - shift) == 0:
+        # a stable sort as one int64 sort: each pair carries its index below
+        order = np.sort(((rows * width + lab) << shift) | np.arange(nbr.size))
+        order &= (1 << shift) - 1
+    else:
+        order = np.lexsort((lab, rows))
+    # CSR rows are grouped by node already: only labels move within a row
+    lab = lab[order]
+    start, links = runs(rows, lab)
+    # bincount adds in input order: each label's links in adjacency order
+    weight = np.bincount(np.repeat(np.arange(start.size), links),
+                         weights=wt[order], minlength=start.size)
+    return rows[start], lab[start], links, weight
 
 
 def with_unit_weights(g: Graph) -> Graph:

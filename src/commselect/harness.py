@@ -183,8 +183,16 @@ def read_detail_csv(path) -> list[dict]:
         missing = [c for c in DETAIL_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        width = len(reader.fieldnames)
         for rec in reader:
             row = dict(rec)
+            extra = row.pop(None, [])  # fields past the header's
+            absent = sum(x is None for x in row.values())
+            if extra or absent:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: "
+                    f"{width - absent + len(extra)} fields, the header "
+                    f"has {width}")
             row["rep"] = int(row["rep"])
             for col in ("mu_t", "mu_w", "nmi", "c_uw", "c_w",
                         "achieved_mu_t", "achieved_mu_w"):

@@ -4,39 +4,40 @@ A partition is scored by the expected per-step description length of a random
 walk under a two-level codebook (one index codebook across modules, one
 codebook per module). On an undirected graph the walk's stationary visit rate
 of a node is its strength over twice the total edge weight, so the code length
-has a closed form and the search reduces to minimising it. The optimizer is
-greedy node moving with agglomeration and seeded random restarts; each level
-is a ``Graph`` of links in rate units plus a vector of visit rates. Node
-moving keeps each module's plogp terms between moves and refreshes only the
-two modules a move touches; a node whose neighbours all share its module is
-passed over without evaluating any move.
+has a closed form and the search reduces to minimising it. The optimizer
+moves nodes in batches with agglomeration and seeded random restarts; each
+level is a ``Graph`` of links in rate units plus a vector of visit rates.
+A round of node moving is numpy work over the (node, neighbour module)
+pairs of the level: it scores every node's best move at once, applies a
+batch of them in which no module both loses and gains nodes, and keeps the
+batch only when the exact code length, recomputed in O(m), falls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, with_unit_weights
+from .graph import (Graph, Partition, neighbour_label_sums, runs,
+                    with_unit_weights)
 from .seeds import check_seed, spawn_rng
 
-_LOG2 = math.log(2.0)
 # bits; the smallest code-length gain a move must make. At 0, detect was seen
 # never to return: a node moved back and forth on gains made by rounding
 MOVE_TOLERANCE = 1e-10
 
 
-def _plogp(x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    return x * math.log(x) / _LOG2
+def _plogp(x):
+    """x log2 x of each entry of x, and 0 where x <= 0."""
+    x = np.asarray(x, dtype=np.float64)
+    log = np.zeros_like(x)
+    np.log2(x, out=log, where=x > 0.0)
+    return x * log
 
 
 def _sum_plogp(x: np.ndarray) -> float:
-    x = x[x > 0.0]
-    return float((x * np.log(x)).sum() / _LOG2)
+    return float(_plogp(x).sum())
 
 
 @dataclass(frozen=True)
@@ -74,93 +75,106 @@ def map_equation(g: Graph, p: Partition) -> float:
     if g.edge_count == 0:
         return 0.0
     u, v, w = g.edge_arrays()
-    m = p.membership
-    nc = p.community_count
-    cross = m[u] != m[v]
-    exits = w[cross] / (2.0 * g.total_weight)
-    q_mod = (np.bincount(m[u][cross], weights=exits, minlength=nc)
-             + np.bincount(m[v][cross], weights=exits, minlength=nc))
     rates = visit_rates(g)
-    p_mod = q_mod + np.bincount(m, weights=rates, minlength=nc)
-    return (_plogp(float(q_mod.sum())) - 2.0 * _sum_plogp(q_mod)
-            + _sum_plogp(p_mod) - _sum_plogp(rates))
+    length, _, _ = _module_code_length(u, v, w / (2.0 * g.total_weight), rates,
+                                       p.membership, p.community_count)
+    return length - _sum_plogp(rates)
 
 
-def _links(g: Graph) -> list[dict[int, float]]:
-    """The {neighbour: link rate} dict of each node of a level graph."""
-    indptr, nbr, wt = (a.tolist() for a in g.csr())
-    return [dict(zip(nbr[lo:hi], wt[lo:hi]))
-            for lo, hi in zip(indptr[:-1], indptr[1:])]
-
-
-def _local_move(links, rate: np.ndarray, rng, tol: float) -> list[int]:
-    """Greedy node moving on one level; returns the module of each node.
-
-    plogp(q_m) and plogp(q_m + p_m) of every module, and plogp of the summed
-    exit rate, are kept between moves (``plp_q``, ``plp_qp``, ``plp_sum_q``)
-    and refreshed where a move changes them, so each delta adds the same
-    terms in the same order as when every one is computed afresh.
+def _module_code_length(u, v, w, rate, module, size):
+    """(L + sum_v plogp(p_v), exit rate q_m of each module, summed visit
+    rate of each module's nodes) for the partition ``module`` of a level with
+    links (u, v, w) in rate units and node visit rates ``rate``; ``size``
+    bounds the module ids. The node term added to L is the same for every
+    partition of the level's nodes, and contracting a level leaves the sum
+    unchanged, since a module keeps its exit and visit rates.
     """
-    n = len(links)
-    out_rate, rate = [sum(a.values()) for a in links], rate.tolist()
-    module, q_mod, p_mod = list(range(n)), list(out_rate), list(rate)
-    sum_q = sum(q_mod)
-    plp = _plogp
-    plp_q = [plp(q) for q in q_mod]
-    plp_qp = [plp(q + p) for q, p in zip(q_mod, p_mod)]
-    plp_sum_q = plp(sum_q)
+    cross = module[u] != module[v]
+    exits = w[cross]
+    q_mod = (np.bincount(module[u][cross], exits, size)
+             + np.bincount(module[v][cross], exits, size))
+    visits = np.bincount(module, rate, size)
+    length = (_sum_plogp(q_mod.sum()) - 2.0 * _sum_plogp(q_mod)
+              + _sum_plogp(q_mod + visits))
+    return length, q_mod, visits
 
-    moved_any = True
-    while moved_any:
-        moved_any = False
-        for v in rng.permutation(n).tolist():
-            a = module[v]
-            # rate flowing from v to each adjacent module
-            to_mod: dict[int, float] = {}
-            for u, w in links[v].items():
-                cu = module[u]
-                to_mod[cu] = to_mod.get(cu, 0.0) + w
-            if to_mod.keys() <= {a}:
-                continue  # no other module to move to
-            d_v = out_rate[v]
-            p_v = rate[v]
-            k_va = to_mod.get(a, 0.0)
-            q_a, p_a = q_mod[a], p_mod[a]
-            q_a_new = q_a - d_v + 2.0 * k_va
-            # module-rate terms use q_m + p_m: the module codebook is read
-            # once per exit as well as once per node visit
-            base_a = (-2.0 * (plp(q_a_new) - plp_q[a])
-                      + plp(q_a_new + p_a - p_v) - plp_qp[a])
-            best_gain = -tol
-            best_mod = a
-            for b, k_vb in sorted(to_mod.items()):
-                if b == a:
-                    continue
-                q_b, p_b = q_mod[b], p_mod[b]
-                q_b_new = q_b + d_v - 2.0 * k_vb
-                sum_q_new = sum_q + 2.0 * (k_va - k_vb)
-                delta = (plp(sum_q_new) - plp_sum_q
-                         + base_a
-                         - 2.0 * (plp(q_b_new) - plp_q[b])
-                         + plp(q_b_new + p_b + p_v) - plp_qp[b])
-                if delta < best_gain:
-                    best_gain = delta
-                    best_mod = b
-            if best_mod != a:
-                b = best_mod
-                k_vb = to_mod[b]
-                q_mod[a] = q_a - d_v + 2.0 * k_va
-                p_mod[a] = p_a - p_v
-                q_mod[b] = q_mod[b] + d_v - 2.0 * k_vb
-                p_mod[b] = p_mod[b] + p_v
-                sum_q = sum_q + 2.0 * (k_va - k_vb)
-                for c in (a, b):
-                    plp_q[c] = plp(q_mod[c])
-                    plp_qp[c] = plp(q_mod[c] + p_mod[c])
-                plp_sum_q = plp(sum_q)
-                module[v] = b
-                moved_any = True
-    return module
+
+def _best_moves(g: Graph, rate: np.ndarray, module: np.ndarray,
+                q_mod: np.ndarray, visits: np.ndarray, tol: float):
+    """(node, target module, delta) of each node's best move to an adjacent
+    module, by ascending node, where that delta is below ``-tol``. The
+    smallest module id wins among equal deltas. ``q_mod`` and ``visits``
+    are the exit and summed visit rates of each module of ``module``."""
+    node, target, _, k_in = neighbour_label_sums(g, module)
+    own = target == module[node]
+    k_own = np.zeros(g.n)  # rate on each node's links inside its module
+    k_own[node[own]] = k_in[own]
+    node, target, k_in = node[~own], target[~own], k_in[~own]
+    start, size = runs(node)
+    # the terms of leaving the source module, once per node
+    mover = node[start]
+    source = module[mover]
+    d_v, p_v, k_out = g.strengths[mover], rate[mover], k_own[mover]
+    sum_q = q_mod.sum()
+    plp_q, plp_qp = _plogp(q_mod), _plogp(q_mod + visits)
+    q_a = q_mod[source] - d_v + 2.0 * k_out
+    # module-rate terms use q_m + p_m: the module codebook is read once per
+    # exit as well as once per node visit
+    leave = (-2.0 * (_plogp(q_a) - plp_q[source])
+             + _plogp(q_a + visits[source] - p_v) - plp_qp[source])
+    owner = np.repeat(np.arange(start.size), size)  # pair -> its mover
+    q_b = q_mod[target] + d_v[owner] - 2.0 * k_in
+    delta = (_plogp(sum_q + 2.0 * (k_out[owner] - k_in)) - _plogp(sum_q)
+             + leave[owner]
+             - 2.0 * (_plogp(q_b) - plp_q[target])
+             + _plogp(q_b + visits[target] + p_v[owner]) - plp_qp[target])
+    best = np.minimum.reduceat(delta, start)
+    at_best = np.flatnonzero(delta == np.repeat(best, size))
+    # pairs are sorted by module within a node: the first is the smallest
+    pick = at_best[runs(node[at_best])[0]][best < -tol]
+    return node[pick], target[pick], delta[pick]
+
+
+def _local_move(g: Graph, rate: np.ndarray, rng, tol: float) -> np.ndarray:
+    """Batched node moving on one level; returns the module of each node.
+
+    Every node starts in a module of its own. Each round takes the best
+    moves of ``_best_moves`` in the order of one ``rng.permutation`` draw,
+    and each module takes the role, source or target, of the first of them
+    that names it. The batch is the moves whose source and target both kept
+    the role the move needs, so no module of the batch both loses and gains
+    nodes. The exact code length of the moved state is then computed; when
+    it did not fall by more than ``tol``, the half of the batch with the
+    largest gains is tried in its place. Moving stops when no node has an
+    improving move, or when a batch of one move fails.
+    """
+    u, v, w = g.edge_arrays()
+    module = np.arange(g.n)
+    length, q_mod, visits = _module_code_length(u, v, w, rate, module, g.n)
+    while True:
+        node, target, delta = _best_moves(g, rate, module, q_mod, visits, tol)
+        if not node.size:
+            return module
+        order = rng.permutation(node.size)
+        node, target, delta = node[order], target[order], delta[order]
+        source = module[node]
+        named, first = np.unique(np.column_stack((source, target)),
+                                 return_index=True)
+        is_source = np.zeros(g.n, dtype=bool)
+        is_source[named] = first % 2 == 0
+        batch = np.flatnonzero(is_source[source] & ~is_source[target])
+        while True:
+            moved = module.copy()
+            moved[node[batch]] = target[batch]
+            new_length, new_q, new_visits = _module_code_length(
+                u, v, w, rate, moved, g.n)
+            if new_length < length - tol:
+                break
+            if batch.size == 1:
+                return module
+            keep = (batch.size + 1) // 2
+            batch = batch[np.argsort(delta[batch], kind="stable")[:keep]]
+        module, length, q_mod, visits = moved, new_length, new_q, new_visits
 
 
 def _contract(g: Graph, rate: np.ndarray, module):
@@ -177,20 +191,19 @@ def _contract(g: Graph, rate: np.ndarray, module):
     return Graph(nc, edges), np.bincount(dense, rate, nc), dense
 
 
-def _optimize_once(g: Graph, links, rate: np.ndarray, rng) -> Partition:
+def _optimize_once(g: Graph, rate: np.ndarray, rng) -> Partition:
     """Modules of the base nodes after moving and agglomerating to a halt."""
     assignment = np.arange(g.n)  # base node -> node of the current level
     while True:
-        module = _local_move(links, rate, rng, MOVE_TOLERANCE)
-        if len(set(module)) == g.n:
+        module = _local_move(g, rate, rng, MOVE_TOLERANCE)
+        if np.unique(module).size == g.n:
             return Partition.from_labels(assignment)
         g, rate, dense = _contract(g, rate, module)
-        links = _links(g)
         assignment = dense[assignment]
 
 
 def detect(g: Graph, cfg: InfomapConfig) -> Partition:
-    """Minimise the map equation by greedy moving + agglomeration restarts.
+    """Minimise the map equation by batched moving + agglomeration restarts.
 
     Runs ``cfg.outer_passes`` seeded restarts and returns the partition with
     the smallest code length (earliest restart wins ties). With
@@ -205,8 +218,8 @@ def detect(g: Graph, cfg: InfomapConfig) -> Partition:
     # the base level, links in rate units w / 2W, is shared by the restarts
     u, v, w = work.edge_arrays()
     base = Graph(work.n, np.column_stack((u, v, w / (2.0 * work.total_weight))))
-    links, rate = _links(base), visit_rates(work)
-    parts = (_optimize_once(base, links, rate, spawn_rng(cfg.seed, r))
+    rate = visit_rates(work)
+    parts = (_optimize_once(base, rate, spawn_rng(cfg.seed, r))
              for r in range(cfg.outer_passes))
     # min keeps the first of equal code lengths
     return min(parts, key=lambda part: map_equation(work, part))

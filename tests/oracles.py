@@ -4,9 +4,10 @@ Everything here is written straight from definitions with no code shared
 with the package internals: exhaustive partition enumeration, the map
 equation in raw entropy form, modularity as the full double sum, and NMI via
 an explicit contingency table. The two detector inner loops are kept here in
-their plain forms (a per-node loop for the label-propagation step, every
-code-length term recomputed for each Infomap move), so that the optimised
-loops can be required to return exactly the same results.
+their plain forms (a per-node loop for the label-propagation step, and a
+per-node, per-move loop for each batched round of Infomap's node moving,
+every code-length term recomputed), so that the optimised loops can be
+required to return exactly the same results.
 """
 
 import math
@@ -187,65 +188,90 @@ def propagate_step_reference(g, labels, weighted, rng):
 
 
 def _plogp(x):
-    return x * math.log(x) / math.log(2.0) if x > 0.0 else 0.0
+    return x * np.log2(x) if x > 0.0 else 0.0
 
 
-def local_move_reference(links, rate, rng, tol):
-    """Greedy map-equation node moving on an Infomap working level (the
-    {neighbour: link rate} dict of each node, and the visit rate of each
-    node), recomputing every plogp term of each candidate move's code-length
-    change; returns the module of each node."""
-    n = len(links)
-    out_rate = [sum(adj.values()) for adj in links]
-    rate = [float(x) for x in rate]
+def _level_code_length(g, rate, module):
+    """(code length plus the node term, exit rate of each module, summed
+    visit rate of each module's nodes) of an Infomap level, one link and one
+    node at a time. Sums over all modules are taken by numpy, as in the
+    package, so the two agree to the bit."""
+    n = g.n
+    q_u, q_v, visits = [0.0] * n, [0.0] * n, [0.0] * n
+    for a, b, w in g.edges:
+        if module[a] != module[b]:
+            q_u[module[a]] += w
+            q_v[module[b]] += w
+    q = [x + y for x, y in zip(q_u, q_v)]
+    for v in range(n):
+        visits[module[v]] += float(rate[v])
+    length = (_plogp(float(np.sum(q)))
+              - 2.0 * float(np.sum([_plogp(x) for x in q]))
+              + float(np.sum([_plogp(x + y) for x, y in zip(q, visits)])))
+    return length, q, visits
+
+
+def local_move_reference(g, rate, rng, tol):
+    """Batched map-equation node moving on an Infomap level (a graph of links
+    in rate units, and the visit rate of each node), written as plain loops
+    over the nodes and moves of each round; returns the module of each node.
+
+    A round takes each node's best move to an adjacent module (the smallest
+    module among equal deltas), keeps the moves with delta below ``-tol`` in
+    ascending node order, and shuffles them with one ``rng.permutation``.
+    Each module takes the role (source or target) of the first move naming
+    it, and the batch is the moves whose modules kept the role they need.
+    The batch runs when the recomputed code length falls by more than
+    ``tol``; otherwise the half with the largest gains is tried, and a
+    failing batch of one move ends the moving."""
+    n = g.n
     module = list(range(n))
-    q_mod = list(out_rate)
-    p_mod = list(rate)
-    sum_q = sum(q_mod)
-    plp = _plogp
-
-    moved_any = True
-    while moved_any:
-        moved_any = False
-        for v in rng.permutation(n):
-            v = int(v)
+    length, q, visits = _level_code_length(g, rate, module)
+    while True:
+        sum_q = float(np.sum(q))
+        moves = []  # (node, source, target, delta), by ascending node
+        for v in range(n):
             a = module[v]
-            if not links[v]:
-                continue
             to_mod = {}
-            for u, w in links[v].items():
-                cu = module[u]
-                to_mod[cu] = to_mod.get(cu, 0.0) + w
-            d_v = out_rate[v]
-            p_v = rate[v]
-            k_va = to_mod.get(a, 0.0)
-            q_a, p_a = q_mod[a], p_mod[a]
-            q_a_new = q_a - d_v + 2.0 * k_va
-            base_a = (-2.0 * (plp(q_a_new) - plp(q_a))
-                      + plp(q_a_new + p_a - p_v) - plp(q_a + p_a))
-            best_gain = -tol
-            best_mod = a
-            for b, k_vb in sorted(to_mod.items()):
-                if b == a:
-                    continue
-                q_b, p_b = q_mod[b], p_mod[b]
-                q_b_new = q_b + d_v - 2.0 * k_vb
-                sum_q_new = sum_q + 2.0 * (k_va - k_vb)
-                delta = (plp(sum_q_new) - plp(sum_q)
-                         + base_a
-                         - 2.0 * (plp(q_b_new) - plp(q_b))
-                         + plp(q_b_new + p_b + p_v) - plp(q_b + p_b))
-                if delta < best_gain:
-                    best_gain = delta
-                    best_mod = b
-            if best_mod != a:
-                b = best_mod
-                k_vb = to_mod[b]
-                q_mod[a] = q_a - d_v + 2.0 * k_va
-                p_mod[a] = p_a - p_v
-                q_mod[b] = q_mod[b] + d_v - 2.0 * k_vb
-                p_mod[b] = p_mod[b] + p_v
-                sum_q = sum_q + 2.0 * (k_va - k_vb)
-                module[v] = b
-                moved_any = True
-    return module
+            for u, w in g.neighbors(v):
+                to_mod[module[u]] = to_mod.get(module[u], 0.0) + w
+            k_out = to_mod.pop(a, 0.0)
+            if not to_mod:
+                continue
+            d_v, p_v = g.strength(v), float(rate[v])
+            q_a = q[a] - d_v + 2.0 * k_out
+            leave = (-2.0 * (_plogp(q_a) - _plogp(q[a]))
+                     + _plogp(q_a + visits[a] - p_v) - _plogp(q[a] + visits[a]))
+            best = None
+            for b in sorted(to_mod):
+                k_in = to_mod[b]
+                q_b = q[b] + d_v - 2.0 * k_in
+                delta = (_plogp(sum_q + 2.0 * (k_out - k_in)) - _plogp(sum_q)
+                         + leave
+                         - 2.0 * (_plogp(q_b) - _plogp(q[b]))
+                         + _plogp(q_b + visits[b] + p_v)
+                         - _plogp(q[b] + visits[b]))
+                if best is None or delta < best[3]:
+                    best = (v, a, b, delta)
+            if best[3] < -tol:
+                moves.append(best)
+        if not moves:
+            return np.array(module)
+        moves = [moves[i] for i in rng.permutation(len(moves))]
+        role = {}
+        for _, a, b, _ in moves:
+            role.setdefault(a, "source")
+            role.setdefault(b, "target")
+        batch = [m for m in moves
+                 if role[m[1]] == "source" and role[m[2]] == "target"]
+        while True:
+            moved = list(module)
+            for v, _, b, _ in batch:
+                moved[v] = b
+            new_length, new_q, new_visits = _level_code_length(g, rate, moved)
+            if new_length < length - tol:
+                break
+            if len(batch) == 1:
+                return np.array(module)
+            batch = sorted(batch, key=lambda m: m[3])[:(len(batch) + 1) // 2]
+        module, length, q, visits = moved, new_length, new_q, new_visits

@@ -463,6 +463,29 @@ class TestCli:
             err = capsys.readouterr().err
             assert text in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_short_or_long_row_is_one_line_error(self, tmp_path, capsys,
+                                                 command):
+        from commselect import save_model
+        model_path = tmp_path / "m.txt"
+        save_model(manual_model([1.0, 1.0, 1.0]), model_path)
+        header = rows_to_csv(synth_rows(), DETAIL_COLUMNS).splitlines()[0]
+        width = len(DETAIL_COLUMNS)
+        for row, fields in (("0.2,0.2,0,copra_uw,ok", 5),
+                            (",".join(["0"] * (width + 1)), width + 1)):
+            path = tmp_path / "bad.csv"
+            path.write_text(f"{header}\n{row}\n")
+            args = [command, "--results", str(path)]
+            args += (["--model-out", str(tmp_path / "out.txt")]
+                     if command == "train" else
+                     ["--model", str(model_path), "--out",
+                      str(tmp_path / "out.csv")])
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert f"{path}, line 2: {fields} fields, the header has " \
+                f"{width}" in err, err
+            assert len(err.strip().splitlines()) == 1
+
     def test_help_shows_every_library_default(self, capsys):
         import dataclasses
         import inspect

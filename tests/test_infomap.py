@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,3 +105,21 @@ class TestDetect:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InfomapConfig(outer_passes=0)
+
+    def test_memory_is_linear_in_links(self):
+        # a ring of 2000 10-cliques, n = 2 * 10^4 and m = 92,000: one
+        # restart holds fewer than forty 8-byte numbers per link at once
+        k, cliques = 10, 2000
+        edges = [(b + i, b + j, 1.0) for b in range(0, k * cliques, k)
+                 for i in range(k) for j in range(i + 1, k)]
+        edges += [(b + k - 1, (b + k) % (k * cliques), 1.0)
+                  for b in range(0, k * cliques, k)]
+        g = Graph(k * cliques, edges)
+        tracemalloc.start()
+        try:
+            p = infomap_detect(g, InfomapConfig(seed=0, outer_passes=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 8 * g.edge_count
+        assert p == Partition.from_labels(np.arange(g.n) // k)

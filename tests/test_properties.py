@@ -16,7 +16,7 @@ from commselect import (CopraConfig, GenParams, Graph, InfomapConfig,
                         Partition, copra, copra_detect, generate, infomap,
                         infomap_detect, local_clustering_uw,
                         local_clustering_w, map_equation, mean_clustering,
-                        modularity, nmi)
+                        modularity, nmi, visit_rates)
 from conftest import random_graph
 from oracles import (clustering_uw_reference, clustering_w_reference,
                      local_move_reference, propagate_step_reference)
@@ -296,8 +296,8 @@ def peak_labels(g, labels, weighted, v):
 
 def infomap_case(case, monkeypatch):
     """A random graph, the case's generator after drawing it, and what one
-    Infomap restart on it passes through: the (links, visit rates, modules)
-    of each level's node moving, and the graph and result of each
+    Infomap restart on it passes through: the (level graph, visit rates,
+    modules) of each level's node moving, and the graph and result of each
     contraction."""
     rng = case_rng(11, case)
     g = random_graph(rng, int(rng.integers(2, 30)),
@@ -306,9 +306,9 @@ def infomap_case(case, monkeypatch):
     moves, contractions = [], []
     move, contract = infomap._local_move, infomap._contract
 
-    def record_move(links, rate, move_rng, tol):
-        module = move(links, rate, move_rng, tol)
-        moves.append((links, rate, module))
+    def record_move(level_g, rate, move_rng, tol):
+        module = move(level_g, rate, move_rng, tol)
+        moves.append((level_g, rate, module))
         return module
 
     def record_contract(level_g, rate, module):
@@ -325,25 +325,84 @@ def infomap_case(case, monkeypatch):
 
 
 def test_local_move_matches_reference(monkeypatch):
-    """Infomap's node moving with cached module terms returns the module
-    lists of the reference that recomputes every term, on base levels built
-    by ``detect`` and on levels contracted by ``_contract``, and draws the
-    same visiting orders."""
+    """Infomap's batched node moving returns the module of each node that
+    the reference's plain loop over the nodes and moves of each round
+    returns, on base levels built by ``detect`` and on levels contracted by
+    ``_contract``, and draws the same permutations."""
     contracted = 0
     for case in range(CASES):
         rng, _, moves, _ = infomap_case(case, monkeypatch)
-        links, rate, _ = moves[0]
+        level_g, rate, _ = moves[0]
         if rng.random() < 0.3 and len(moves) > 1:
-            links, rate, _ = moves[1]
+            level_g, rate, _ = moves[1]
             contracted += 1
         tol = float(rng.choice([1e-10, 1e-3]))
         seed = int(rng.integers(2 ** 32))
         ref_rng = np.random.default_rng(seed)
         new_rng = np.random.default_rng(seed)
-        assert infomap._local_move(links, rate, new_rng, tol) == \
-            local_move_reference(links, rate, ref_rng, tol), case
+        got = infomap._local_move(level_g, rate, new_rng, tol)
+        assert np.array_equal(
+            got, local_move_reference(level_g, rate, ref_rng, tol)), case
         assert same_stream_position(ref_rng, new_rng), case
     assert contracted >= CASES // 4
+
+
+def test_local_move_rounds_lower_code_length(monkeypatch):
+    """On every level of the local-move suite, base and contracted: each
+    round of node moving that is kept lowers the map equation of the base
+    partition the level's modules stand for by more than ``MOVE_TOLERANCE``;
+    every code length the move computes equals that map equation plus the
+    node term sum_v plogp(p_v), within 1e-12; and in the returned modules
+    no single node's move to an adjacent module, checked one by one with
+    ``map_equation``, lowers it by more than ``MOVE_TOLERANCE`` + 1e-12."""
+    tol = infomap.MOVE_TOLERANCE
+    code_length = infomap._module_code_length
+    kept = contracted = 0
+    for case in range(CASES):
+        _, g, moves, contractions = infomap_case(case, monkeypatch)
+        rates = visit_rates(g)
+        rates = rates[rates > 0.0]  # isolated nodes are never visited
+        node_term = float((rates * np.log2(rates)).sum())
+        assignment = np.arange(g.n)  # base node -> node of the level
+        for k, (level_g, rate, _) in enumerate(moves):
+            if k:
+                assignment = contractions[k - 1][1][2][assignment]
+
+            def base_length(module):
+                return map_equation(g, Partition.from_labels(
+                    np.asarray(module)[assignment]))
+
+            tracked = []
+
+            def record(*args):
+                out = code_length(*args)
+                tracked.append((args[4].copy(), out[0]))
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(infomap, "_module_code_length", record)
+                module = infomap._local_move(level_g, rate,
+                                             case_rng(12, case), tol)
+            for tried, length in tracked:
+                assert length - node_term == pytest.approx(
+                    base_length(tried), abs=1e-12), (case, k)
+            current, current_length = tracked[0]
+            for tried, length in tracked[1:]:
+                if length < current_length - tol:
+                    assert base_length(tried) < base_length(current) - tol
+                    current, current_length = tried, length
+                    kept += 1
+            assert np.array_equal(current, module), (case, k)
+            length = base_length(module)
+            for v in range(level_g.n):
+                for b in {module[x] for x, _ in level_g.neighbors(v)}:
+                    moved = module.copy()
+                    moved[v] = b
+                    assert base_length(moved) > length - tol - 1e-12, \
+                        (case, k, v, b)
+            contracted += k > 0
+    assert contracted >= CASES
+    assert kept >= 2 * CASES
 
 
 def test_agglomeration_never_raises_code_length(monkeypatch):
@@ -358,7 +417,7 @@ def test_agglomeration_never_raises_code_length(monkeypatch):
         assert len(contractions) == len(moves) - 1, case
         assignment = np.arange(g.n)  # base node -> node of the level
         length = map_equation(g, Partition(assignment))
-        for k, (links, rate, module) in enumerate(moves):
+        for k, (moved_g, rate, module) in enumerate(moves):
             assert rate.sum() == pytest.approx(1.0, abs=1e-12), case
             module = np.asarray(module)
             composed = Partition.from_labels(module[assignment])
@@ -368,8 +427,8 @@ def test_agglomeration_never_raises_code_length(monkeypatch):
             if k == len(contractions):
                 break
             level_g, (up_g, up_rate, dense) = contractions[k]
-            assert infomap._links(level_g) == links, case
-            assert up_rate is moves[k + 1][1], case
+            assert level_g is moved_g, case
+            assert up_g is moves[k + 1][0] and up_rate is moves[k + 1][1], case
             u, v, w = level_g.edge_arrays()
             assert up_g.total_weight == pytest.approx(
                 w[module[u] != module[v]].sum(), abs=1e-12), case
