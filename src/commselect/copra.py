@@ -57,7 +57,8 @@ def propagate_step(g: Graph, labels: np.ndarray, weighted: bool,
     Support is summed over the m (node, neighbour label) pairs, each sum
     adding its links in adjacency order.
     """
-    node, pair_lab, links, weight = neighbour_label_sums(g, labels)
+    node, pair_lab, links, weight = neighbour_label_sums(
+        g.csr_rows, *g.csr()[1:], labels)
     support = weight if weighted else links
     node_start, node_size = runs(node)
     peak = np.maximum.reduceat(support, node_start)

@@ -213,17 +213,18 @@ def runs(*sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bound[:-1], bound[1:] - bound[:-1]
 
 
-def neighbour_label_sums(g: Graph, labels: np.ndarray):
-    """Every distinct (node, label of a neighbour) pair of g, sorted by
-    (node, label): the arrays (node, label, links, weight), where ``links``
-    counts the node's links to neighbours holding the label and ``weight``
-    sums their weights, added in adjacency order. O(m) memory.
+def neighbour_label_sums(rows: np.ndarray, nbr: np.ndarray, wt: np.ndarray,
+                         labels: np.ndarray):
+    """Every distinct (node, label of a neighbour) pair of CSR entries (row,
+    neighbour, weight), whole rows of a graph's, sorted by (node, label): the
+    arrays (node, label, links, weight), where ``links`` counts the node's
+    links to neighbours holding the label and ``weight`` sums their weights,
+    added in adjacency order. O(m) memory.
     """
-    _, nbr, wt = g.csr()
-    rows, lab = g.csr_rows, labels[nbr]
+    lab = labels[nbr]
     width = int(labels.max()) + 1 if labels.size else 1
     shift = nbr.size.bit_length()
-    if (g.n * width) >> (63 - shift) == 0:
+    if (labels.size * width) >> (63 - shift) == 0:
         # a stable sort as one int64 sort: each pair carries its index below
         order = np.sort(((rows * width + lab) << shift) | np.arange(nbr.size))
         order &= (1 << shift) - 1

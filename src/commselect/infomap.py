@@ -5,12 +5,11 @@ walk under a two-level codebook (one index codebook across modules, one
 codebook per module). On an undirected graph the walk's stationary visit rate
 of a node is its strength over twice the total edge weight, so the code length
 has a closed form and the search reduces to minimising it. The optimizer
-moves nodes in batches with agglomeration and seeded random restarts; each
-level is a ``Graph`` of links in rate units plus a vector of visit rates.
-A round of node moving is numpy work over the (node, neighbour module)
-pairs of the level: it scores every node's best move at once, applies a
-batch of them in which no module both loses and gains nodes, and keeps the
-batch only when the exact code length, recomputed in O(m), falls.
+moves nodes in batched numpy rounds with agglomeration and seeded restarts,
+which run side by side as copies in a disjoint union of each level (a
+``Graph`` of links in rate units plus visit rates) up to ``LINK_BUDGET``
+links. Each copy keeps its own random stream, batches, code length and stop,
+so it moves as it would alone.
 """
 
 from __future__ import annotations
@@ -27,17 +26,15 @@ from .seeds import check_seed, spawn_rng
 # never to return: a node moved back and forth on gains made by rounding
 MOVE_TOLERANCE = 1e-10
 
+# links per union level: n=100 runs two unions of five restarts (one of ten
+# was no faster and held twice the extra memory), n=1000 one at a time
+LINK_BUDGET = 1 << 13
+
 
 def _plogp(x):
     """x log2 x of each entry of x, and 0 where x <= 0."""
     x = np.asarray(x, dtype=np.float64)
-    log = np.zeros_like(x)
-    np.log2(x, out=log, where=x > 0.0)
-    return x * log
-
-
-def _sum_plogp(x: np.ndarray) -> float:
-    return float(_plogp(x).sum())
+    return x * np.log2(np.where(x > 0.0, x, 1.0))  # log2(1) = 0
 
 
 @dataclass(frozen=True)
@@ -76,137 +73,175 @@ def map_equation(g: Graph, p: Partition) -> float:
         return 0.0
     u, v, w = g.edge_arrays()
     rates = visit_rates(g)
-    length, _, _ = _module_code_length(u, v, w / (2.0 * g.total_weight), rates,
-                                       p.membership, p.community_count)
-    return length - _sum_plogp(rates)
+    copies, _ = _module_code_length(u, v, w / (2.0 * g.total_weight), rates,
+                                    p.membership, [0, p.community_count], [0])
+    return float(copies[0, 0] - _plogp(rates).sum())
 
 
-def _module_code_length(u, v, w, rate, module, size):
-    """(L + sum_v plogp(p_v), exit rate q_m of each module, summed visit
-    rate of each module's nodes) for the partition ``module`` of a level with
-    links (u, v, w) in rate units and node visit rates ``rate``; ``size``
-    bounds the module ids. The node term added to L is the same for every
-    partition of the level's nodes, and contracting a level leaves the sum
-    unchanged, since a module keeps its exit and visit rates.
-    """
+def _module_code_length(u, v, w, rate, module, start, copies):
+    """Rows L + sum_v plogp(p_v), q and plogp(q) of each of the ``copies``
+    (copy c sums its module ids start[c]:start[c+1] alone) and rows q_m,
+    plogp(q_m), plogp(q_m + p_m) and p_m of each module, for the partition
+    ``module`` of a level with links (u, v, w) in rate units and visit rates
+    ``rate``. The node term in L is the same for every partition of the
+    level, and contracting keeps it, as a module keeps q_m and p_m."""
+    size = start[-1]
     cross = module[u] != module[v]
     exits = w[cross]
     q_mod = (np.bincount(module[u][cross], exits, size)
              + np.bincount(module[v][cross], exits, size))
     visits = np.bincount(module, rate, size)
-    length = (_sum_plogp(q_mod.sum()) - 2.0 * _sum_plogp(q_mod)
-              + _sum_plogp(q_mod + visits))
-    return length, q_mod, visits
+    rates = np.stack((q_mod, _plogp(q_mod), _plogp(q_mod + visits), visits))
+    sum_q, plp, plp_qp = np.array([rates[:3, start[c]:start[c + 1]].sum(1)
+                                   for c in copies]).T
+    plp_q = _plogp(sum_q)
+    return np.stack((plp_q - 2.0 * plp + plp_qp, sum_q, plp_q)), rates
 
 
-def _best_moves(g: Graph, rate: np.ndarray, module: np.ndarray,
-                q_mod: np.ndarray, visits: np.ndarray, tol: float):
+def _best_moves(csr, strengths, rate, module, rates, start, copy_q, tol):
     """(node, target module, delta) of each node's best move to an adjacent
-    module, by ascending node, where that delta is below ``-tol``. The
-    smallest module id wins among equal deltas. ``q_mod`` and ``visits``
-    are the exit and summed visit rates of each module of ``module``."""
-    node, target, _, k_in = neighbour_label_sums(g, module)
+    module, by ascending node, where that delta is below ``-tol``, over CSR
+    entries ``csr``; the smallest module id wins among equal deltas."""
+    node, target, _, k_in = neighbour_label_sums(*csr, module)
     own = target == module[node]
-    k_own = np.zeros(g.n)  # rate on each node's links inside its module
+    k_own = np.zeros(module.size)  # rate on each node's links inside its module
     k_own[node[own]] = k_in[own]
     node, target, k_in = node[~own], target[~own], k_in[~own]
-    start, size = runs(node)
+    first, size = runs(node)
     # the terms of leaving the source module, once per node
-    mover = node[start]
+    mover = node[first]
     source = module[mover]
-    d_v, p_v, k_out = g.strengths[mover], rate[mover], k_own[mover]
-    sum_q = q_mod.sum()
-    plp_q, plp_qp = _plogp(q_mod), _plogp(q_mod + visits)
+    d_v, p_v, k_out = strengths[mover], rate[mover], k_own[mover]
+    q_mod, plp_q, plp_qp, visits = rates
     q_a = q_mod[source] - d_v + 2.0 * k_out
     # module-rate terms use q_m + p_m: the module codebook is read once per
     # exit as well as once per node visit
     leave = (-2.0 * (_plogp(q_a) - plp_q[source])
              + _plogp(q_a + visits[source] - p_v) - plp_qp[source])
-    owner = np.repeat(np.arange(start.size), size)  # pair -> its mover
+    owner = np.repeat(np.arange(first.size), size)  # pair -> its mover
+    per_copy = np.diff(np.searchsorted(node, start))  # pairs of each copy
     q_b = q_mod[target] + d_v[owner] - 2.0 * k_in
-    delta = (_plogp(sum_q + 2.0 * (k_out[owner] - k_in)) - _plogp(sum_q)
-             + leave[owner]
+    delta = (_plogp(np.repeat(copy_q[0], per_copy)
+                    + 2.0 * (k_out[owner] - k_in))
+             - np.repeat(copy_q[1], per_copy) + leave[owner]
              - 2.0 * (_plogp(q_b) - plp_q[target])
              + _plogp(q_b + visits[target] + p_v[owner]) - plp_qp[target])
-    best = np.minimum.reduceat(delta, start)
+    best = np.minimum.reduceat(delta, first)
     at_best = np.flatnonzero(delta == np.repeat(best, size))
     # pairs are sorted by module within a node: the first is the smallest
     pick = at_best[runs(node[at_best])[0]][best < -tol]
     return node[pick], target[pick], delta[pick]
 
 
-def _local_move(g: Graph, rate: np.ndarray, rng, tol: float) -> np.ndarray:
-    """Batched node moving on one level; returns the module of each node.
-
-    Every node starts in a module of its own. Each round takes the best
-    moves of ``_best_moves`` in the order of one ``rng.permutation`` draw,
-    and each module takes the role, source or target, of the first of them
-    that names it. The batch is the moves whose source and target both kept
-    the role the move needs, so no module of the batch both loses and gains
-    nodes. The exact code length of the moved state is then computed; when
-    it did not fall by more than ``tol``, the half of the batch with the
-    largest gains is tried in its place. Moving stops when no node has an
-    improving move, or when a batch of one move fails.
-    """
+def _local_move(g: Graph, rate: np.ndarray, start: np.ndarray, rngs,
+                tol: float) -> np.ndarray:
+    """Module of each node after batched moving from singletons on a level
+    holding one copy per generator of ``rngs`` (nodes start[c]:start[c+1]).
+    Each round a copy orders its best moves by one ``rng.permutation`` draw,
+    each module takes the role, source or target, of the first move naming
+    it, and the batch is the moves whose modules kept the role they need.
+    Unless the copy's exact code length falls by more than ``tol``, the half
+    of the batch with the largest gains is tried instead. A copy stops when
+    no node has an improving move or a batch of one fails."""
+    copy = np.repeat(np.arange(len(rngs)), np.diff(start))
+    live = np.arange(len(rngs))  # the copies that csr and (u, v, w) hold
     u, v, w = g.edge_arrays()
+    csr = (g.csr_rows, *g.csr()[1:])
     module = np.arange(g.n)
-    length, q_mod, visits = _module_code_length(u, v, w, rate, module, g.n)
-    while True:
-        node, target, delta = _best_moves(g, rate, module, q_mod, visits, tol)
-        if not node.size:
+    copies, rates = _module_code_length(u, v, w, rate, module, start, live)
+    while live.size:
+        node, target, delta = _best_moves(csr, g.strengths, rate, module,
+                                          rates, start, copies[1:], tol)
+        first = np.searchsorted(node, start)
+        count = np.diff(first)  # moves of each copy
+        moving = live[count[live] > 0]
+        if not moving.size:
             return module
-        order = rng.permutation(node.size)
+        order = np.concatenate([first[c] + rngs[c].permutation(count[c])
+                                for c in moving])
         node, target, delta = node[order], target[order], delta[order]
         source = module[node]
-        named, first = np.unique(np.column_stack((source, target)),
-                                 return_index=True)
+        named, named_at = np.unique(np.column_stack((source, target)),
+                                    return_index=True)
         is_source = np.zeros(g.n, dtype=bool)
-        is_source[named] = first % 2 == 0
+        is_source[named] = named_at % 2 == 0
         batch = np.flatnonzero(is_source[source] & ~is_source[target])
+        take = batch
         while True:
             moved = module.copy()
-            moved[node[batch]] = target[batch]
-            new_length, new_q, new_visits = _module_code_length(
-                u, v, w, rate, moved, g.n)
-            if new_length < length - tol:
+            moved[node[take]] = target[take]
+            new, new_rates = _module_code_length(u, v, w, rate, moved, start,
+                                                 moving)
+            fell = new[0] < copies[0, moving] - tol
+            if take is batch and not fell.all():  # each copy's batch
+                parts = np.split(batch, np.searchsorted(
+                    batch, np.cumsum(count[moving])[:-1]))
+            if all(parts[i].size <= 1 for i in np.flatnonzero(~fell)):
                 break
-            if batch.size == 1:
-                return module
-            keep = (batch.size + 1) // 2
-            batch = batch[np.argsort(delta[batch], kind="stable")[:keep]]
-        module, length, q_mod, visits = moved, new_length, new_q, new_visits
+            for i in np.flatnonzero(~fell):  # a failed batch of one stops
+                keep = (parts[i].size + 1) // 2 if parts[i].size > 1 else 0
+                parts[i] = parts[i][np.argsort(delta[parts[i]],
+                                               kind="stable")[:keep]]
+            take = np.concatenate(parts)
+        for c in moving[~fell]:  # undo each failed batch of one
+            moved[start[c]:start[c + 1]] = module[start[c]:start[c + 1]]
+        module, rates = moved, new_rates
+        copies[:, moving[fell]] = new[:, fell]
+        if fell.sum() < live.size:  # drop the copies that stopped
+            live = moving[fell]
+            entry, link = np.isin(copy[csr[0]], live), np.isin(copy[u], live)
+            csr, (u, v, w) = (tuple(a[entry] for a in csr),
+                              (u[link], v[link], w[link]))
+    return module
 
 
-def _contract(g: Graph, rate: np.ndarray, module):
-    """Merge modules into super-nodes: (level graph, visit rates, dense module
-    of each node). Rates keep the flow of the links inside each module."""
-    dense = Partition.from_labels(module).membership
+def _contract(g: Graph, rate: np.ndarray, module, keep):
+    """Merge the modules of the nodes where ``keep`` is set into super-nodes
+    and drop the other nodes: (level graph, visit rates, dense module of each
+    node or -1). Rates keep the flow of the links inside each module."""
+    dense = np.full(g.n, -1)
+    dense[keep] = Partition.from_labels(module[keep]).membership
     nc = int(dense.max()) + 1
     u, v, w = g.edge_arrays()
     lo, hi = np.minimum(dense[u], dense[v]), np.maximum(dense[u], dense[v])
-    cross = lo != hi
+    cross = lo != hi  # a dropped link has both ends at -1
     keys, link = np.unique(lo[cross] * nc + hi[cross], return_inverse=True)
     edges = np.column_stack((keys // nc, keys % nc,
                              np.bincount(link, w[cross], keys.size)))
-    return Graph(nc, edges), np.bincount(dense, rate, nc), dense
+    return Graph(nc, edges), np.bincount(dense[keep], rate[keep], nc), dense
 
 
-def _optimize_once(g: Graph, rate: np.ndarray, rng) -> Partition:
-    """Modules of the base nodes after moving and agglomerating to a halt."""
+def _optimize(g: Graph, rate: np.ndarray, rngs) -> list[Partition]:
+    """Modules of the base nodes of each restart after moving and
+    agglomerating to a halt, on a union of one copy of the base level per
+    generator; a copy that merged no nodes is done and leaves the union."""
+    n = g.n // len(rngs)
+    restarts, sizes = np.arange(len(rngs)), np.full(len(rngs), n)
     assignment = np.arange(g.n)  # base node -> node of the current level
+    parts = [None] * len(rngs)
     while True:
-        module = _local_move(g, rate, rng, MOVE_TOLERANCE)
-        if np.unique(module).size == g.n:
-            return Partition.from_labels(assignment)
-        g, rate, dense = _contract(g, rate, module)
-        assignment = dense[assignment]
+        start = np.concatenate(([0], np.cumsum(sizes)))
+        module = _local_move(g, rate, start, [rngs[r] for r in restarts],
+                             MOVE_TOLERANCE)
+        modules = np.diff(np.searchsorted(np.unique(module), start))
+        for c in np.flatnonzero(modules == sizes):
+            parts[restarts[c]] = Partition.from_labels(
+                assignment[c * n:(c + 1) * n])
+        if (more := modules < sizes).any():
+            g, rate, dense = _contract(g, rate, module, np.repeat(more, sizes))
+            assignment = dense[assignment[np.repeat(more, n)]]
+            restarts, sizes = restarts[more], modules[more]
+        else:
+            return parts
 
 
 def detect(g: Graph, cfg: InfomapConfig) -> Partition:
     """Minimise the map equation by batched moving + agglomeration restarts.
 
     Runs ``cfg.outer_passes`` seeded restarts and returns the partition with
-    the smallest code length (earliest restart wins ties). With
+    the smallest code length (earliest restart wins ties). They run in
+    equal batches, each a union of copies within ``LINK_BUDGET`` links, and
+    give the partitions they would give one at a time. With
     ``weighted=False`` the graph's weights are ignored. An edgeless graph
     yields all-singleton communities.
     """
@@ -217,9 +252,14 @@ def detect(g: Graph, cfg: InfomapConfig) -> Partition:
     work = g if cfg.weighted else with_unit_weights(g)
     # the base level, links in rate units w / 2W, is shared by the restarts
     u, v, w = work.edge_arrays()
-    base = Graph(work.n, np.column_stack((u, v, w / (2.0 * work.total_weight))))
-    rate = visit_rates(work)
-    parts = (_optimize_once(base, rate, spawn_rng(cfg.seed, r))
-             for r in range(cfg.outer_passes))
+    w, n, passes = w / (2.0 * work.total_weight), work.n, cfg.outer_passes
+    per = max(k for k in range(1, passes + 1) if passes % k == 0
+              and k <= max(1, LINK_BUDGET // u.size))
+    shift = np.repeat(np.arange(per) * n, u.size)  # copies side by side
+    union = Graph(per * n, np.column_stack((
+        np.tile(u, per) + shift, np.tile(v, per) + shift, np.tile(w, per))))
+    parts = (part for r in range(0, passes, per) for part in _optimize(
+        union, np.tile(visit_rates(work), per),
+        [spawn_rng(cfg.seed, i) for i in range(r, r + per)]))
     # min keeps the first of equal code lengths
     return min(parts, key=lambda part: map_equation(work, part))

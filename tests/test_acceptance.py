@@ -5,8 +5,8 @@ Run with:
     pytest tests/test_acceptance.py -v -s
 
 The grid sweep backing criteria 3-5 generates 8 x 8 x 18 = 1152 networks and
-runs all four detector variants on each; expect the full suite to take tens
-of minutes on one core. Every seed is fixed; reruns are bit-identical.
+runs all four detector variants on each; the full suite takes about two
+minutes on two cores. Every seed is fixed; reruns are bit-identical.
 Every test here is marked ``slow``: ``pytest -m "not slow"`` skips them.
 """
 

@@ -67,8 +67,9 @@ class TestSweep:
         assert agg[0]["nmi_std"] == pytest.approx(np.std([0.5, 1.0], ddof=1))
 
     def test_workers_do_not_change_results(self):
-        cfg_serial = tiny_sweep(reps=2)
-        cfg_parallel = tiny_sweep(reps=2, workers=2)
+        cfg_serial = tiny_sweep(reps=2, algorithms=ALGORITHM_ORDER)
+        cfg_parallel = tiny_sweep(reps=2, algorithms=ALGORITHM_ORDER,
+                                  workers=2)
         assert (rows_to_csv(run_sweep(cfg_serial), DETAIL_COLUMNS)
                 == rows_to_csv(run_sweep(cfg_parallel), DETAIL_COLUMNS))
 

@@ -109,17 +109,30 @@ class TestDetect:
     def test_memory_is_linear_in_links(self):
         # a ring of 2000 10-cliques, n = 2 * 10^4 and m = 92,000: one
         # restart holds fewer than forty 8-byte numbers per link at once
-        k, cliques = 10, 2000
-        edges = [(b + i, b + j, 1.0) for b in range(0, k * cliques, k)
-                 for i in range(k) for j in range(i + 1, k)]
-        edges += [(b + k - 1, (b + k) % (k * cliques), 1.0)
-                  for b in range(0, k * cliques, k)]
-        g = Graph(k * cliques, edges)
-        tracemalloc.start()
-        try:
-            p = infomap_detect(g, InfomapConfig(seed=0, outer_passes=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g, p, peak = detect_ring_of_cliques(10, 2000, outer_passes=1)
         assert peak < 40 * 8 * g.edge_count
-        assert p == Partition.from_labels(np.arange(g.n) // k)
+        assert p == Partition.from_labels(np.arange(g.n) // 10)
+
+    def test_memory_is_linear_in_links_over_restarts(self):
+        # the same ring with the default ten restarts: a graph this large
+        # runs them one at a time, so the bound per link does not grow
+        g, p, peak = detect_ring_of_cliques(10, 2000)
+        assert peak < 40 * 8 * g.edge_count
+        assert p == Partition.from_labels(np.arange(g.n) // 10)
+
+
+def detect_ring_of_cliques(k, cliques, **cfg):
+    """(graph, partition, traced peak bytes) of ``infomap_detect`` on a
+    ring of ``cliques`` k-cliques, each joined to the next by one link."""
+    edges = [(b + i, b + j, 1.0) for b in range(0, k * cliques, k)
+             for i in range(k) for j in range(i + 1, k)]
+    edges += [(b + k - 1, (b + k) % (k * cliques), 1.0)
+              for b in range(0, k * cliques, k)]
+    g = Graph(k * cliques, edges)
+    tracemalloc.start()
+    try:
+        p = infomap_detect(g, InfomapConfig(seed=0, **cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return g, p, peak

@@ -306,13 +306,13 @@ def infomap_case(case, monkeypatch):
     moves, contractions = [], []
     move, contract = infomap._local_move, infomap._contract
 
-    def record_move(level_g, rate, move_rng, tol):
-        module = move(level_g, rate, move_rng, tol)
+    def record_move(level_g, rate, start, rngs, tol):
+        module = move(level_g, rate, start, rngs, tol)
         moves.append((level_g, rate, module))
         return module
 
-    def record_contract(level_g, rate, module):
-        up = contract(level_g, rate, module)
+    def record_contract(level_g, rate, module, keep):
+        up = contract(level_g, rate, module, keep)
         contractions.append((level_g, up))
         return up
 
@@ -322,6 +322,35 @@ def infomap_case(case, monkeypatch):
         infomap_detect(g, InfomapConfig(seed=int(rng.integers(2 ** 32)),
                                         outer_passes=1))
     return rng, g, moves, contractions
+
+
+def one_copy(level_g):
+    """Copy bounds of a level that holds a single copy."""
+    return np.array([0, level_g.n])
+
+
+def union_of(levels):
+    """The disjoint union of (level graph, visit rates) pairs: (graph, rates,
+    first node of each copy and the node count)."""
+    start = np.cumsum([0] + [g.n for g, _ in levels])
+    edges = [(a + lo, b + lo, w) for (g, _), lo in zip(levels, start)
+             for a, b, w in g.edges]
+    return (Graph(int(start[-1]), edges),
+            np.concatenate([rate for _, rate in levels]), start)
+
+
+def copy_of(g, rate, start, c):
+    """Copy c of a union level, as a (level graph, visit rates) pair."""
+    lo, hi = int(start[c]), int(start[c + 1])
+    return (Graph(hi - lo, [(a - lo, b - lo, w) for a, b, w in g.edges
+                            if lo <= a < hi]), rate[lo:hi])
+
+
+def union_move_reference(g, rate, start, rngs, tol):
+    """``local_move_reference`` run on each copy of a union level alone."""
+    return np.concatenate([
+        start[c] + local_move_reference(*copy_of(g, rate, start, c), rng, tol)
+        for c, rng in enumerate(rngs)])
 
 
 def test_local_move_matches_reference(monkeypatch):
@@ -340,11 +369,35 @@ def test_local_move_matches_reference(monkeypatch):
         seed = int(rng.integers(2 ** 32))
         ref_rng = np.random.default_rng(seed)
         new_rng = np.random.default_rng(seed)
-        got = infomap._local_move(level_g, rate, new_rng, tol)
+        got = infomap._local_move(level_g, rate, one_copy(level_g),
+                                  [new_rng], tol)
         assert np.array_equal(
             got, local_move_reference(level_g, rate, ref_rng, tol)), case
         assert same_stream_position(ref_rng, new_rng), case
     assert contracted >= CASES // 4
+
+
+def test_union_local_move_matches_reference(monkeypatch):
+    """On a union of levels of the local-move suite, of unequal sizes, each
+    with its own generator, every copy's modules are the reference's on
+    that copy alone, and every generator ends where the reference's does."""
+    for case in range(0, CASES, 5):
+        levels = []
+        for k in range(case, case + 5):
+            rng, _, moves, _ = infomap_case(k, monkeypatch)
+            levels.append(moves[int(rng.integers(len(moves)))][:2])
+        g, rate, start = union_of(levels)
+        tol = float(case_rng(13, case).choice([1e-10, 1e-3]))
+        seeds = case_rng(13, case).integers(2 ** 32, size=len(levels))
+        ref_rngs = [np.random.default_rng(s) for s in seeds]
+        new_rngs = [np.random.default_rng(s) for s in seeds]
+        got = infomap._local_move(g, rate, start, new_rngs, tol)
+        for c, ref_rng in enumerate(ref_rngs):
+            want = local_move_reference(*copy_of(g, rate, start, c), ref_rng,
+                                        tol)
+            assert np.array_equal(got[start[c]:start[c + 1]] - start[c],
+                                  want), (case, c)
+            assert same_stream_position(ref_rng, new_rngs[c]), (case, c)
 
 
 def test_local_move_rounds_lower_code_length(monkeypatch):
@@ -376,13 +429,14 @@ def test_local_move_rounds_lower_code_length(monkeypatch):
 
             def record(*args):
                 out = code_length(*args)
-                tracked.append((args[4].copy(), out[0]))
+                tracked.append((args[4].copy(), float(out[0][0, 0])))
                 return out
 
             with monkeypatch.context() as patch:
                 patch.setattr(infomap, "_module_code_length", record)
                 module = infomap._local_move(level_g, rate,
-                                             case_rng(12, case), tol)
+                                             one_copy(level_g),
+                                             [case_rng(12, case)], tol)
             for tried, length in tracked:
                 assert length - node_term == pytest.approx(
                     base_length(tried), abs=1e-12), (case, k)
@@ -449,7 +503,23 @@ def test_detectors_match_reference_loops(monkeypatch):
                + [infomap_detect(g, cfg) for cfg in info_cfgs])
         with monkeypatch.context() as patch:
             patch.setattr(copra, "propagate_step", propagate_step_reference)
-            patch.setattr(infomap, "_local_move", local_move_reference)
+            patch.setattr(infomap, "_local_move", union_move_reference)
             want = ([copra_detect(g, cfg) for cfg in copra_cfgs]
                     + [infomap_detect(g, cfg) for cfg in info_cfgs])
         assert got == want, (mu_t, mu_w)
+
+
+def test_link_budget_does_not_change_partitions(monkeypatch):
+    """On the networks of the reference-loop comparison, weighted and
+    unweighted, Infomap returns the same partitions whether all restarts
+    share one union level, two share each union, or each runs alone."""
+    cfgs = [InfomapConfig(seed=7, weighted=w) for w in (True, False)]
+    for mu_t, mu_w in ((0.2, 0.2), (0.5, 0.3), (0.7, 0.7)):
+        g = generate(GenParams(n=100, mu_t=mu_t, mu_w=mu_w, seed=11)).graph
+        got = []
+        for per_union in (cfgs[0].outer_passes, 2, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(infomap, "LINK_BUDGET",
+                              per_union * g.edge_count)
+                got.append([infomap_detect(g, cfg) for cfg in cfgs])
+        assert got[0] == got[1] == got[2], (mu_t, mu_w)
