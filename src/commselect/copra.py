@@ -10,12 +10,13 @@ repeats them and keeps the one with the highest weighted modularity.
 
 A run applies the rule to all nodes at once (synchronous steps, each O(m)
 memory) until a fixed point, a state equal to the one two steps back (two
-node groups can swap labels forever), or the step cap. The last two exits
-are settled by asynchronous sweeps of the same rule in random node order;
-each change there strictly raises the weight of links inside labels, so the
-sweeps cannot cycle. All draws come from the run's own stream, so a run is a
-pure function of its seed. Nodes left sharing a label without being
-connected are split into separate communities at the end.
+node groups can swap labels forever), or ``max_iters`` steps. The last two
+exits are settled by semi-synchronous steps of the same rule (Cordasco &
+Gargano 2010, arXiv:1103.4550), each of which strictly raises the weight of
+links inside labels, so settling needs no cap and ends at a fixed point
+(``run_once`` gives the argument). All draws come from the run's own stream,
+so a run is a pure function of its seed. Nodes left sharing a label without
+being connected are split into separate communities at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .seeds import check_seed, spawn_rng
 
 @dataclass(frozen=True)
 class CopraConfig:
-    """Settings for repeated label-propagation detection."""
+    """Settings for repeated label-propagation detection. ``max_iters`` caps
+    only a run's synchronous steps; settling after them ends on its own."""
     seed: int = 0
     runs: int = 10
     max_iters: int = 100
@@ -73,77 +75,55 @@ def propagate_step(g: Graph, labels: np.ndarray, weighted: bool,
     return new
 
 
-def _settle(g: Graph, labels: np.ndarray, weighted: bool, max_sweeps: int,
-            rng) -> np.ndarray:
-    """Asynchronous sweeps from ``labels`` until one changes nothing, or
-    ``max_sweeps`` have run."""
-    indptr, nbr, wt = g.csr()
-    indptr, nbr = indptr.tolist(), nbr.tolist()
-    wt = wt.tolist() if weighted else [1.0] * len(nbr)
-    labels = labels.tolist()
-    for _ in range(max_sweeps):
-        changed = False
-        for v in rng.permutation(g.n).tolist():
-            lo, hi = indptr[v], indptr[v + 1]
-            support: dict[int, float] = {}
-            for u, w in zip(nbr[lo:hi], wt[lo:hi]):
-                support[labels[u]] = support.get(labels[u], 0.0) + w
-            if not support:
-                continue
-            peak = max(support.values())
-            if support.get(labels[v]) != peak:
-                best = sorted(lab for lab, x in support.items() if x == peak)
-                labels[v] = best[int(rng.random() * len(best))]
-                changed = True
-        if not changed:
-            break
-    return np.array(labels, dtype=np.int64)
-
-
 def _split_into_communities(g: Graph, labels: np.ndarray) -> Partition:
-    # connected nodes sharing a label form one community; a shared label on
-    # disconnected node sets is split
-    indptr, nbr, _ = g.csr()
-    indptr, nbr, labels = indptr.tolist(), nbr.tolist(), labels.tolist()
-    comm = [-1] * g.n
-    next_id = 0
-    for start in range(g.n):
-        if comm[start] >= 0:
-            continue
-        lab = labels[start]
-        stack = [start]
-        comm[start] = next_id
-        while stack:
-            v = stack.pop()
-            for u in nbr[indptr[v]:indptr[v + 1]]:
-                if comm[u] < 0 and labels[u] == lab:
-                    comm[u] = next_id
-                    stack.append(u)
-        next_id += 1
-    return Partition(comm)
+    # connected nodes sharing a label form one community, numbered by their
+    # smallest node: min-id propagation over same-label links, pointer jumping
+    same = labels[g.csr_rows] == labels[g.csr()[1]]
+    a, b = g.csr_rows[same], g.csr()[1][same]
+    root, prev = np.arange(g.n), None
+    while not np.array_equal(root, prev):
+        prev, root = root, root.copy()
+        np.minimum.at(root, a, prev[b])
+        root = root[root]
+    return Partition.from_labels(root)
 
 
 def run_once(g: Graph, cfg: CopraConfig, rng) -> Partition:
     """Single seeded propagation run, returning the resulting hard partition.
 
-    Synchronous steps run until one changes nothing (a fixed point), the
-    state equals the one two steps back, or ``cfg.max_iters`` steps have run.
-    The last two exits are settled into a fixed point by at most
-    ``cfg.max_iters`` asynchronous sweeps drawing from the same ``rng``.
+    Synchronous steps run until a fixed point, a state equal to the one two
+    steps back, or ``cfg.max_iters`` steps. The last two exits are settled:
+    each further step calls ``propagate_step`` and holds back every mover
+    that moves into the current label of a moving neighbour, or whose label
+    such a neighbour moves into, when that neighbour has the higher priority
+    (one ``rng.random(n)`` per step, ties to the higher id).
+
+    Why settling ends at a fixed point: a mover's new label has more support
+    than its old one. W, the weight of links inside labels, changes on a
+    link with one moving end by that end's gain. On a link of weight w
+    between two movers, their gains add to -2w if the ends shared a label
+    and to 0 otherwise, and W changes by at least -w or 0 respectively. So W
+    rises by at least the movers' summed gains; the top-priority mover always
+    moves, so W rises at every step and no state repeats.
     """
     if g.n == 0:
         raise ValueError("cannot partition a graph with zero nodes")
+    a, b = g.csr_rows, g.csr()[1]
     labels = prev = np.arange(g.n, dtype=np.int64)
-    for _ in range(cfg.max_iters):
+    steps = 0  # jumps to the cap on an oscillation: settle from then on
+    while True:
         new = propagate_step(g, labels, cfg.weighted, rng)
         if np.array_equal(new, labels):
             return _split_into_communities(g, labels)
-        oscillating = np.array_equal(new, prev)
+        if steps >= cfg.max_iters:
+            prio = rng.random(g.n)
+            moved = new != labels
+            held = (moved[a] & moved[b]
+                    & ((new[a] == labels[b]) | (new[b] == labels[a]))
+                    & ((prio[b] > prio[a]) | (prio[b] == prio[a]) & (b > a)))
+            new[a[held]] = labels[a[held]]
+        steps = cfg.max_iters if np.array_equal(new, prev) else steps + 1
         prev, labels = labels, new
-        if oscillating:
-            break
-    return _split_into_communities(
-        g, _settle(g, labels, cfg.weighted, cfg.max_iters, rng))
 
 
 def detect(g: Graph, cfg: CopraConfig) -> Partition:

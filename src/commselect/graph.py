@@ -263,19 +263,23 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
     Each non-empty, non-comment line is ``u v [w]`` separated by tabs or
     spaces; a missing weight defaults to 1.0, so plain unweighted files are
     accepted. Lines starting with ``#`` are comments; a ``# nodes N`` comment
-    (as written by :func:`write_edge_list`) declares the node count so graphs
-    with trailing isolated nodes round-trip. Without it, N is one more than
-    the largest id observed.
+    (as written by :func:`write_edge_list`) declares the node count.
 
-    Node ids may be arbitrary non-negative integers; sparse ids are compacted
-    to a dense 0..N-1 range and the original ids kept as ``Graph.labels``.
+    Node ids are integers in [0, 2^63). When they all fit below the declared
+    N, they are node indices, and ids no edge names are isolated nodes.
+    Otherwise they are labels: they are compacted to 0..N-1 in ascending
+    order and kept as ``Graph.labels``, and there must be exactly N of them
+    when N is declared. Without a declaration N is the number of distinct
+    ids, and ids that are not exactly 0..N-1 are labels.
 
     Raises:
-        ValueError: on self-loops, duplicate pairs, non-positive weights, or
-            malformed tokens, naming the first offending line.
+        ValueError: on self-loops, duplicate pairs, non-positive weights,
+            malformed tokens, or a negative or unmet node count, naming the
+            first offending line.
     """
-    declared_n = None
-    raw_edges: list[tuple[int, int, float]] = []
+    declared = None  # (line number, N)
+    ends: list[int] = []
+    weights: list[float] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
@@ -285,9 +289,11 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
             body = line[1:].split()
             if len(body) == 2 and body[0] == "nodes":
                 try:
-                    declared_n = int(body[1])
+                    declared = (lineno, int(body[1]))
                 except ValueError:
                     raise ValueError(f"line {lineno}: bad node count comment")
+                if declared[1] < 0:
+                    raise ValueError(f"line {lineno}: negative node count")
             continue
         parts = line.replace("\t", " ").split()
         if len(parts) not in (2, 3):
@@ -297,8 +303,8 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
             v = int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed node id in {raw!r}")
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative node id in {raw!r}")
+        if not (0 <= u < 2 ** 63 and 0 <= v < 2 ** 63):
+            raise ValueError(f"line {lineno}: node id out of range in {raw!r}")
         if len(parts) == 3:
             try:
                 w = float(parts[2])
@@ -314,21 +320,20 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate edge ({key[0]},{key[1]})")
         seen.add(key)
-        raw_edges.append((u, v, w))
+        ends += (u, v)
+        weights.append(w)
 
-    ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
-    if not ids:
-        return Graph(declared_n if declared_n is not None else 0, [])
-    if declared_n is not None:
-        # a declared node count fixes the id space; gaps are isolated nodes
-        return Graph(max(declared_n, ids[-1] + 1), raw_edges)
-    if ids[-1] == len(ids) - 1:
-        return Graph(len(ids), raw_edges)
-    # sparse ids without a declared count: compact, remember the original
-    # labels for output
-    remap = {x: i for i, x in enumerate(ids)}
-    edges = [(remap[u], remap[v], w) for u, v, w in raw_edges]
-    return Graph(len(ids), edges, labels=ids)
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    ids, index = np.unique(pairs, return_inverse=True)
+    line, n = declared or (None, ids.size)
+    if ids.size == 0 or ids[-1] < n:
+        # ids are node indices; any not named are isolated nodes
+        return Graph(n, np.column_stack((pairs, weights)))
+    if ids.size != n:
+        raise ValueError(f"line {line}: {n} nodes declared, but the "
+                         f"{ids.size} distinct ids are not all below {n}")
+    return Graph(n, np.column_stack((index.reshape(-1, 2), weights)),
+                 labels=ids.tolist())
 
 
 def write_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:

@@ -6,7 +6,8 @@ equation in raw entropy form, modularity as the full double sum, and NMI via
 an explicit contingency table. The two detector inner loops are kept here in
 their plain forms (a per-node loop for the label-propagation step, and a
 per-node, per-move loop for each batched round of Infomap's node moving,
-every code-length term recomputed), so that the optimised loops can be
+every code-length term recomputed), and so is the depth-first split of a
+labelling into connected communities, so that the optimised loops can be
 required to return exactly the same results.
 """
 
@@ -185,6 +186,27 @@ def propagate_step_reference(g, labels, weighted, rng):
         best = sorted(lab for lab, x in support.items() if x == peak)
         new[v] = best[int(rng.random() * len(best))]
     return np.array(new, dtype=np.int64)
+
+
+def split_reference(g, labels):
+    """Depth-first split of a labelling into communities: connected nodes
+    sharing a label form one, numbered in the order their first node is
+    reached scanning node ids upward."""
+    comm = [-1] * g.n
+    next_id = 0
+    for start in range(g.n):
+        if comm[start] >= 0:
+            continue
+        stack = [start]
+        comm[start] = next_id
+        while stack:
+            v = stack.pop()
+            for u, _ in g.neighbors(v):
+                if comm[u] < 0 and labels[u] == labels[start]:
+                    comm[u] = next_id
+                    stack.append(u)
+        next_id += 1
+    return comm
 
 
 def _plogp(x):

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commselect import (CopraConfig, Graph, copra_detect, propagate_step,
-                        run_once, with_unit_weights)
+from commselect import (CopraConfig, GenParams, Graph, copra_detect,
+                        generate, propagate_step, run_once, with_unit_weights)
 from commselect.seeds import spawn_rng
 from conftest import build_complete, random_graph
 from oracles import brute_force_max_modularity
@@ -116,7 +116,10 @@ class TestRunOnce:
         # an unweighted ring with unique labels keeps drawing among tied
         # labels, so a small cap stops the synchronous phase early
         ring = Graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
-        cases = [(Graph(6, edges), CopraConfig(weighted=True))]
+        # a generated network on which every weighted run oscillates
+        net = generate(GenParams(n=100, mu_t=0.1, mu_w=0.6, seed=1)).graph
+        cases = [(Graph(6, edges), CopraConfig(weighted=True)),
+                 (net, CopraConfig(weighted=True))]
         cases += [(ring, CopraConfig(weighted=False, max_iters=k))
                   for k in (1, 3)]
         for g, cfg in cases:

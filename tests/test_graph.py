@@ -127,6 +127,29 @@ class TestEdgeListIO:
         # writing restores the original ids
         assert "10\t20" in write_edge_list(g)
 
+    def test_sparse_ids_roundtrip(self):
+        # the written `# nodes 3` is met by three ids that are not all
+        # below 3, so they are read back as labels, with no phantom nodes
+        g = parse_edge_list("10 20 1.5\n20 40\n")
+        back = parse_edge_list(write_edge_list(g))
+        assert back.n == 3
+        assert back.edges == g.edges
+        assert back.labels == (10, 20, 40)
+        assert parse_edge_list("# nodes 3\n5 1\n1 9\n").labels == (1, 5, 9)
+
+    def test_unmet_node_count_names_line(self):
+        # ids past the declared count must be exactly that many labels
+        for text in ("# c\n# nodes 2\n10 20\n20 40\n",
+                     "# c\n# nodes 4\n10 20\n20 40\n"):
+            with pytest.raises(ValueError, match="line 2"):
+                parse_edge_list(text)
+
+    def test_negative_node_count_names_line(self):
+        for text, line in (("0 1\n# nodes -2\n", "line 2"),
+                           ("# nodes -1\n", "line 1")):
+            with pytest.raises(ValueError, match=line):
+                parse_edge_list(text)
+
     def test_write_canonical(self):
         g = Graph(2, [(1, 0, 2.0)])
         text = write_edge_list(g)

@@ -3,11 +3,13 @@
     pytest tests/test_properties.py
 
 Each suite draws at least 500 seeded cases, except the comparison of whole
-detector runs with their reference inner loops, which takes three generated
-n=100 networks. Weight-scale checks use power-of-two factors for the
-bit-identical detector assertions (exact in floating point) and general
-factors for the metric tolerances.
+detector runs with their reference inner loops and the check of COPRA's
+settling steps, which take three generated n=100 networks each. Weight-scale
+checks use power-of-two factors for the bit-identical detector assertions
+(exact in floating point) and general factors for the metric tolerances.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +19,16 @@ from commselect import (CopraConfig, GenParams, Graph, InfomapConfig,
                         infomap_detect, local_clustering_uw,
                         local_clustering_w, map_equation, mean_clustering,
                         modularity, nmi, visit_rates)
+from commselect.seeds import spawn_rng
 from conftest import random_graph
 from oracles import (clustering_uw_reference, clustering_w_reference,
-                     local_move_reference, propagate_step_reference)
+                     local_move_reference, propagate_step_reference,
+                     split_reference)
 
 CASES = 500
+# (mu_t, mu_w, seed) of n=100 networks on which every weighted COPRA run
+# tried oscillates: two node groups swap labels at every synchronous step
+OSCILLATING = ((0.1, 0.6, 1), (0.8, 0.3, 2), (0.2, 0.8, 3))
 
 
 def case_rng(suite: int, case: int):
@@ -292,6 +299,69 @@ def peak_labels(g, labels, weighted, v):
         support[labels[u]] = support.get(labels[u], 0.0) + (w if weighted
                                                             else 1.0)
     return {lab for lab, x in support.items() if x == max(support.values())}
+
+
+def test_split_matches_reference():
+    """The numpy split of a labelling into connected communities returns
+    exactly the depth-first reference's partition, with a few labels shared
+    across components, with many labels, and with labels near 2^60; enough
+    cases hold a label that is split."""
+    split = 0
+    for case in range(CASES):
+        rng = case_rng(14, case)
+        n = int(rng.integers(1, 40))
+        g = random_graph(rng, n, p=float(rng.uniform(0.02, 0.4)),
+                         weighted=False, ensure_edge=False)
+        many = bool(rng.integers(2))
+        labels = rng.integers(0, 3 * n if many else int(rng.integers(1, 4)),
+                              size=n)
+        if rng.random() < 0.1:
+            labels += 2 ** 60
+        got = copra._split_into_communities(g, labels)
+        assert got == Partition(split_reference(g, labels)), case
+        split += got.community_count > np.unique(labels).size
+    assert split >= CASES // 4
+
+
+def inside_weight(g, labels) -> float:
+    """Summed weight of the links whose ends share a label."""
+    u, v, w = g.edge_arrays()
+    return math.fsum(w[labels[u] == labels[v]].tolist())
+
+
+def test_settling_raises_inside_weight(monkeypatch):
+    """On generated n=100 weighted networks whose synchronous steps
+    oscillate, and with a cap of 2 steps, every step of a run from its first
+    repeated state (or from the cap) strictly raises the weight of links
+    inside labels, and of two linked nodes that both move in such a step,
+    neither takes the other's old label."""
+    step, settled = copra.propagate_step, 0
+    for mu_t, mu_w, seed in OSCILLATING:
+        g = generate(GenParams(n=100, mu_t=mu_t, mu_w=mu_w, seed=seed)).graph
+        for cfg in (CopraConfig(), CopraConfig(max_iters=2)):
+            for run in range(10):
+                states = []
+
+                def record(*args):
+                    states.append(args[1].copy())
+                    return step(*args)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(copra, "propagate_step", record)
+                    copra.run_once(g, cfg, spawn_rng(seed, run))
+                first = next((i for i in range(2, len(states))
+                              if np.array_equal(states[i], states[i - 2])),
+                             cfg.max_iters)
+                case = (mu_t, mu_w, seed, cfg.max_iters, run)
+                weight = [inside_weight(g, x) for x in states[first:]]
+                assert all(a < b for a, b in zip(weight, weight[1:])), case
+                u, v, _ = g.edge_arrays()
+                for old, new in zip(states[first:], states[first + 1:]):
+                    both = (new[u] != old[u]) & (new[v] != old[v])
+                    assert not ((new[u] == old[v]) | (new[v] == old[u]))[
+                        both].any(), case
+                settled += len(weight) > 2
+    assert settled == 2 * 10 * len(OSCILLATING)
 
 
 def infomap_case(case, monkeypatch):
