@@ -9,8 +9,7 @@ from .lfr import (GenParams, GenerationError, PlantedNetwork, assign_weights,
                   build_topology, generate, measured_mixing,
                   sample_community_sizes, sample_truncated_power_law,
                   solve_k_min)
-from .metrics import (ClusteringSummary, local_clustering_uw,
-                      local_clustering_w, mean_clustering, modularity, nmi)
+from .metrics import local_clustering, mean_clustering, modularity, nmi
 from .copra import CopraConfig, propagate_step, run_once
 from .copra import detect as copra_detect
 from .infomap import InfomapConfig, map_equation, visit_rates

@@ -343,12 +343,16 @@ def write_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:
     tab-separated, weights with at least nine significant digits. A
     ``# nodes N`` comment always leads so the node count survives the round
     trip even for graphs with isolated nodes or no edges at all.
-    ``parse_edge_list(write_edge_list(g))`` reproduces ``g``.
+    ``parse_edge_list(write_edge_list(g))`` reproduces ``g``. A labelled
+    graph with an isolated node raises ``ValueError``: no line names it.
     """
+    lab = g.labels
+    if lab is not None and (g.degrees == 0).any():
+        raise ValueError(f"node labelled {lab[int(np.argmin(g.degrees))]} has "
+                         "no link, so an edge list cannot carry its label")
     out = [f"# nodes {g.n}"]
     for comment in header_comments:
         out.append(f"# {comment}")
-    lab = g.labels
     for u, v, w in g.edges:
         a, b = (u, v) if lab is None else (lab[u], lab[v])
         out.append(f"{a}\t{b}\t{_format_weight(w)}")

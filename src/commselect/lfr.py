@@ -568,35 +568,29 @@ def assign_weights(g: Graph, truth: Partition, beta: float, mu_w: float,
         return g
     eu, ev, _ = g.edge_arrays()
     m = truth.membership
-    internal = m[eu] == m[ev]
     n = g.n
+    # strength parts live in one length-2n array: v internal, n + v external
+    side = np.where(m[eu] == m[ev], 0, n)
+    bu, bv = eu + side, ev + side
     deg = g.degrees.astype(np.float64)
     s_target = np.where(deg > 0, deg ** beta, 0.0)
-    t_int = (1.0 - mu_w) * s_target
-    t_ext = mu_w * s_target
-    t_ext = _balance_external_targets(t_ext, truth)
+    target = np.concatenate(((1.0 - mu_w) * s_target,
+                             _balance_external_targets(mu_w * s_target, truth)))
 
     w = np.ones(g.edge_count, dtype=np.float64)
     active = deg > 0
     err = math.inf
     for _ in range(_WEIGHT_SWEEPS):
-        s_int = (np.bincount(eu[internal], weights=w[internal], minlength=n)
-                 + np.bincount(ev[internal], weights=w[internal], minlength=n))
-        s_ext = (np.bincount(eu[~internal], weights=w[~internal], minlength=n)
-                 + np.bincount(ev[~internal], weights=w[~internal], minlength=n))
-        gap = np.abs(s_int - t_int) + np.abs(s_ext - t_ext)
+        s = np.bincount(bu, w, 2 * n) + np.bincount(bv, w, 2 * n)
+        gap = np.abs(s - target)
+        gap = gap[:n] + gap[n:]
         err = float((gap[active] / s_target[active]).mean()) if active.any() else 0.0
         if err < tolerance:
             break
         with np.errstate(divide="ignore", invalid="ignore"):
-            f_int = np.where(s_int > 0, t_int / np.maximum(s_int, 1e-300), 1.0)
-            f_ext = np.where(s_ext > 0, t_ext / np.maximum(s_ext, 1e-300), 1.0)
-        f_int = np.clip(f_int, 0.05, 20.0)
-        f_ext = np.clip(f_ext, 0.05, 20.0)
-        factor = np.where(internal,
-                          np.sqrt(f_int[eu] * f_int[ev]),
-                          np.sqrt(f_ext[eu] * f_ext[ev]))
-        w = np.maximum(w * factor, 1e-12)
+            f = np.where(s > 0, target / np.maximum(s, 1e-300), 1.0)
+        f = np.clip(f, 0.05, 20.0)
+        w = np.maximum(w * np.sqrt(f[bu] * f[bv]), 1e-12)
     else:
         raise GenerationError(
             "weights",

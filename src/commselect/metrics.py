@@ -16,12 +16,14 @@ each triangle at v is counted once by each of its two links at v, so
     C_uw(v) = sum_{e at v} t_e / (k_v (k_v - 1))
     C_w(v)  = sum_{e at v} w_e t_e / (s_v (k_v - 1))
 
-Nodes of degree < 2 contribute 0 and are included in network means.
-Modularity sums weights over the edge arrays with a cross-community mask.
+Nodes of degree < 2 contribute 0 and are included in network means, the
+``FeatureVector`` the selector classifies. Modularity sums weights over the
+edge arrays with a cross-community mask.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +32,18 @@ from .graph import Graph, Partition
 
 
 @dataclass(frozen=True)
-class ClusteringSummary:
-    """Network means of the two local clustering coefficients."""
-    mean_c_uw: float
-    mean_c_w: float
+class FeatureVector:
+    """Mean unweighted / weighted clustering coefficients of a network."""
+    c_uw: float
+    c_w: float
+
+    def __post_init__(self):
+        for name, val in (("c_uw", self.c_uw), ("c_w", self.c_w)):
+            if not math.isfinite(val) or not 0.0 <= val <= 1.0:
+                raise ValueError(f"{name} must be finite in [0,1], got {val}")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.c_uw, self.c_w], dtype=np.float64)
 
 
 def _triangles_per_edge(g: Graph) -> np.ndarray:
@@ -69,8 +79,8 @@ def _triangles_per_edge(g: Graph) -> np.ndarray:
     return t
 
 
-def _local_clustering(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(C_uw, C_w) of every node."""
+def local_clustering(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(C_uw, C_w) of every node; 0 where the degree is below 2."""
     u, v, w = g.edge_arrays()
     t = _triangles_per_edge(g)
     n, k = g.n, g.degrees
@@ -82,19 +92,7 @@ def _local_clustering(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return c_uw, c_w
 
 
-def local_clustering_uw(g: Graph, v: int) -> float:
-    """Unweighted local clustering coefficient of v (0 when degree < 2)."""
-    g.check_node(v)
-    return float(_local_clustering(g)[0][v])
-
-
-def local_clustering_w(g: Graph, v: int) -> float:
-    """Weighted local clustering coefficient of v (0 when degree < 2)."""
-    g.check_node(v)
-    return float(_local_clustering(g)[1][v])
-
-
-def mean_clustering(g: Graph) -> ClusteringSummary:
+def mean_clustering(g: Graph) -> FeatureVector:
     """Arithmetic means of both local clustering coefficients over all nodes.
 
     Degree-0/1 nodes enter the mean with value 0; an edgeless graph therefore
@@ -102,9 +100,8 @@ def mean_clustering(g: Graph) -> ClusteringSummary:
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
-    c_uw, c_w = _local_clustering(g)
-    return ClusteringSummary(mean_c_uw=float(c_uw.mean()),
-                             mean_c_w=float(c_w.mean()))
+    c_uw, c_w = local_clustering(g)
+    return FeatureVector(c_uw=float(c_uw.mean()), c_w=float(c_w.mean()))
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:

@@ -4,8 +4,9 @@ A network is labeled Weighted, Unweighted, or None according to which
 algorithm class scored best against ground truth (None when even the best
 score is below a threshold, since a poor partition makes the choice moot).
 Prediction works from the observable features alone: the mean unweighted and
-weighted clustering coefficients. Three pairwise linear SVMs vote, one per
-unordered class pair, on standardized features.
+weighted clustering coefficients, held in ``metrics.FeatureVector``. Three
+pairwise linear SVMs, one per unordered class pair, vote on standardized
+features; ``predict`` counts the votes from ``decision_margins``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graph import Graph
-from .metrics import mean_clustering
+from .metrics import FeatureVector, mean_clustering
 from .seeds import check_seed, derive_seed, spawn_rng
 
 MODEL_HEADER = "commselect-svm v1"
@@ -39,21 +40,6 @@ PAIR_ORDER = (
     (ClassLabel.WEIGHTED, ClassLabel.NONE),
     (ClassLabel.UNWEIGHTED, ClassLabel.NONE),
 )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Mean unweighted / weighted clustering coefficients of a network."""
-    c_uw: float
-    c_w: float
-
-    def __post_init__(self):
-        for name, val in (("c_uw", self.c_uw), ("c_w", self.c_w)):
-            if not math.isfinite(val) or not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must be finite in [0,1], got {val}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c_uw, self.c_w], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -87,9 +73,6 @@ class BinarySVM:
 
     def decision(self, x: np.ndarray) -> float:
         return float(self.weights[0] * x[0] + self.weights[1] * x[1] + self.bias)
-
-    def vote(self, x: np.ndarray) -> ClassLabel:
-        return self.positive_class if self.decision(x) >= 0 else self.negative_class
 
     @property
     def pair_name(self) -> str:
@@ -128,8 +111,7 @@ def algorithm_class(name: str) -> ClassLabel:
 
 def extract_features(g: Graph) -> FeatureVector:
     """Observable feature vector of a graph (no community knowledge needed)."""
-    summary = mean_clustering(g)
-    return FeatureVector(c_uw=summary.mean_c_uw, c_w=summary.mean_c_w)
+    return mean_clustering(g)
 
 
 def label_network(scores: Mapping[str, float], threshold: float) -> ClassLabel:
@@ -154,7 +136,7 @@ def label_network(scores: Mapping[str, float], threshold: float) -> ClassLabel:
     return ClassLabel.WEIGHTED
 
 
-def train_binary(data: Sequence[tuple[FeatureVector, int]],
+def train_binary(data: Sequence[tuple[Sequence[float], int]],
                  hyper: SvmHyper = SvmHyper(),
                  positive_class: ClassLabel = ClassLabel.WEIGHTED,
                  negative_class: ClassLabel = ClassLabel.UNWEIGHTED) -> BinarySVM:
@@ -162,11 +144,10 @@ def train_binary(data: Sequence[tuple[FeatureVector, int]],
     descent.
 
     Minimises 0.5 ||w||^2 + c * sum_i hinge(y_i (w x_i + b)) with the
-    1/(lambda t) step schedule, lambda = 1 / (c n). Features are expected to
-    be standardized already. Deterministic given ``hyper.seed``.
+    1/(lambda t) step schedule, lambda = 1 / (c n). Each x is a coordinate
+    pair, standardized already. Deterministic given ``hyper.seed``.
     """
-    xs = np.array([f.as_array() if isinstance(f, FeatureVector)
-                   else np.asarray(f, dtype=np.float64) for f, _ in data])
+    xs = np.array([x for x, _ in data], dtype=np.float64)
     ys = np.array([int(y) for _, y in data], dtype=np.float64)
     if set(np.unique(ys)) != {-1.0, 1.0}:
         raise ValueError("training data must contain both classes (+1 and -1)")
@@ -236,24 +217,18 @@ def decision_margins(model: SelectorModel, f: FeatureVector) -> dict[str, float]
 def predict(model: SelectorModel, f: FeatureVector) -> ClassLabel:
     """Majority vote of the three pairwise SVMs.
 
-    A three-way 1-1-1 tie is resolved by the classifier with the largest
-    absolute decision value.
+    A decision >= 0 votes for the classifier's positive class. A three-way
+    1-1-1 tie is resolved by the classifier with the largest absolute
+    decision value (the first such one in ``model.svms`` order).
     """
-    x = model.standardize(f)
-    votes: list[tuple[ClassLabel, float]] = []
-    for svm in model.svms:
-        d = svm.decision(x)
-        votes.append((svm.positive_class if d >= 0 else svm.negative_class, d))
-    tally: dict[ClassLabel, int] = {}
-    for lab, _ in votes:
-        tally[lab] = tally.get(lab, 0) + 1
-    top = max(tally.values())
-    if top >= 2:
-        winners = [lab for lab, cnt in tally.items() if cnt == top]
-        return winners[0]
+    margins = list(decision_margins(model, f).values())
+    votes = [svm.positive_class if d >= 0 else svm.negative_class
+             for svm, d in zip(model.svms, margins)]
+    for lab in votes:
+        if votes.count(lab) >= 2:
+            return lab
     # 1-1-1: strongest conviction wins
-    best = max(votes, key=lambda v: abs(v[1]))
-    return best[0]
+    return votes[int(np.argmax(np.abs(margins)))]
 
 
 def class_to_run(vote: ClassLabel) -> ClassLabel:

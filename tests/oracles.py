@@ -8,7 +8,8 @@ their plain forms (a per-node loop for the label-propagation step, and a
 per-node, per-move loop for each batched round of Infomap's node moving,
 every code-length term recomputed), and so is the depth-first split of a
 labelling into connected communities, so that the optimised loops can be
-required to return exactly the same results.
+required to return exactly the same results. The selector's vote is counted
+here ballot by ballot from a model's fields.
 """
 
 import math
@@ -207,6 +208,28 @@ def split_reference(g, labels):
                     stack.append(u)
         next_id += 1
     return comm
+
+
+def vote_reference(model, c_uw, c_w):
+    """Class voted by a three-SVM selector model, from its fields alone: each
+    classifier's decision w . x + b on the standardized features votes for
+    its positive class when >= 0, two votes of three win, and a 1-1-1 split
+    goes to the first classifier with the largest |decision|."""
+    x0 = (c_uw - model.feature_mean[0]) / model.feature_std[0]
+    x1 = (c_w - model.feature_mean[1]) / model.feature_std[1]
+    ballots = []
+    for svm in model.svms:
+        d = svm.weights[0] * x0 + svm.weights[1] * x1 + svm.bias
+        ballots.append((svm.positive_class if d >= 0 else svm.negative_class,
+                        abs(d)))
+    for cls, _ in ballots:
+        if sum(1 for c, _ in ballots if c == cls) >= 2:
+            return cls
+    best = ballots[0]
+    for ballot in ballots[1:]:
+        if ballot[1] > best[1]:
+            best = ballot
+    return best[0]
 
 
 def _plogp(x):

@@ -137,6 +137,12 @@ class TestEdgeListIO:
         assert back.labels == (10, 20, 40)
         assert parse_edge_list("# nodes 3\n5 1\n1 9\n").labels == (1, 5, 9)
 
+    def test_labelled_isolated_node_rejected(self):
+        # a label that no edge names cannot be written
+        g = Graph(3, [(0, 1, 1.0)], labels=(10, 20, 30))
+        with pytest.raises(ValueError, match="30"):
+            write_edge_list(g)
+
     def test_unmet_node_count_names_line(self):
         # ids past the declared count must be exactly that many labels
         for text in ("# c\n# nodes 2\n10 20\n20 40\n",

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commselect import (Graph, Partition, local_clustering_uw,
-                        local_clustering_w, mean_clustering, modularity, nmi)
+from commselect import (Graph, Partition, local_clustering, mean_clustering,
+                        modularity, nmi)
 from conftest import build_complete, build_star, build_two_k3_bridge, random_graph
 from oracles import (brute_force_max_modularity, clustering_uw_reference,
                      modularity_reference, nmi_reference)
@@ -13,28 +13,28 @@ from oracles import (brute_force_max_modularity, clustering_uw_reference,
 class TestClusteringUnweighted:
     def test_triangle_vertex(self):
         g = build_complete(3)
-        assert local_clustering_uw(g, 0) == 1.0
+        assert local_clustering(g)[0][0] == 1.0
 
     def test_star_center(self):
         g = build_star(4)
-        assert local_clustering_uw(g, 0) == 0.0
+        assert local_clustering(g)[0][0] == 0.0
 
     def test_one_of_three_pairs(self):
         # v=0 with neighbors a,b,c and only a-b present
         g = Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)])
-        assert local_clustering_uw(g, 0) == pytest.approx(1 / 3)
+        assert local_clustering(g)[0][0] == pytest.approx(1 / 3)
 
     def test_degree_below_two(self):
         g = Graph(3, [(0, 1, 1.0)])
-        assert local_clustering_uw(g, 0) == 0.0
-        assert local_clustering_uw(g, 2) == 0.0
+        assert local_clustering(g)[0][0] == 0.0
+        assert local_clustering(g)[0][2] == 0.0
 
     def test_matches_pair_enumeration(self, rng):
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(3, 14)))
+            c_uw = local_clustering(g)[0]
             for v in range(g.n):
-                assert local_clustering_uw(g, v) == pytest.approx(
-                    clustering_uw_reference(g, v))
+                assert c_uw[v] == pytest.approx(clustering_uw_reference(g, v))
 
 
 class TestClusteringWeighted:
@@ -42,51 +42,51 @@ class TestClusteringWeighted:
         # neighbor weights 1,2,3; only the 1-2 pair connected:
         # (1+2) / ((1+2+3) * 2) = 0.25
         g = Graph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (1, 2, 1.0)])
-        assert local_clustering_w(g, 0) == 0.25
+        assert local_clustering(g)[1][0] == 0.25
 
     def test_degree_one(self):
         g = Graph(2, [(0, 1, 5.0)])
-        assert local_clustering_w(g, 0) == 0.0
+        assert local_clustering(g)[1][0] == 0.0
 
     def test_reduces_to_unweighted_on_equal_weights(self, rng):
         for w in (0.5, 1.0, 2.0):
             g = random_graph(rng, 10, weighted=False)
             g = Graph(g.n, [(u, v, w) for u, v, _ in g.edges])
+            c_uw, c_w = local_clustering(g)
             for v in range(g.n):
-                assert local_clustering_w(g, v) == local_clustering_uw(g, v)
+                assert c_w[v] == c_uw[v]
 
     def test_bounded_in_unit_interval(self, rng):
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(3, 12)))
+            c_w = local_clustering(g)[1]
             for v in range(g.n):
-                assert 0.0 <= local_clustering_w(g, v) <= 1.0
+                assert 0.0 <= c_w[v] <= 1.0
 
 
 class TestMeanClustering:
     def test_complete_graph(self):
         s = mean_clustering(build_complete(4))
-        assert s.mean_c_uw == 1.0
-        assert s.mean_c_w == 1.0
+        assert s.c_uw == 1.0
+        assert s.c_w == 1.0
 
     def test_edgeless(self):
         s = mean_clustering(Graph(3, []))
-        assert (s.mean_c_uw, s.mean_c_w) == (0.0, 0.0)
+        assert (s.c_uw, s.c_w) == (0.0, 0.0)
 
     def test_two_k3_bridge_hand_sum(self):
         # per-node values 1, 1, 1/3, 1/3, 1, 1 -> mean 14/18 = 7/9
         s = mean_clustering(build_two_k3_bridge())
-        assert s.mean_c_uw == pytest.approx(7 / 9)
-        assert s.mean_c_w == pytest.approx(7 / 9)
+        assert s.c_uw == pytest.approx(7 / 9)
+        assert s.c_w == pytest.approx(7 / 9)
 
     def test_mean_of_local_values(self):
         g = build_complete(3)
         s = mean_clustering(g)
-        per_node_uw = tuple(local_clustering_uw(g, v) for v in range(g.n))
-        per_node_w = tuple(local_clustering_w(g, v) for v in range(g.n))
+        per_node_uw, per_node_w = (tuple(c) for c in local_clustering(g))
         assert per_node_uw == (1.0, 1.0, 1.0)
         assert len(per_node_w) == 3
-        assert (s.mean_c_uw, s.mean_c_w) == (sum(per_node_uw) / 3,
-                                             sum(per_node_w) / 3)
+        assert (s.c_uw, s.c_w) == (sum(per_node_uw) / 3, sum(per_node_w) / 3)
 
 
 class TestNMI:

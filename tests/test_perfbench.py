@@ -11,6 +11,9 @@ import sys
 
 import pytest
 
+from commselect import selector
+from conftest import build_complete
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
@@ -39,3 +42,20 @@ def test_traced_and_counted_names_exist(tracing):
     missing = [f"{getattr(owner, '__name__', owner)}.{name}"
                for owner, name in hooks if not hasattr(owner, name)]
     assert not missing
+
+
+def test_extract_features_calls_traced_mean_clustering(monkeypatch):
+    # the benchmark times ``metrics.mean_clustering`` by wrapping the name
+    # ``selector.mean_clustering``; if extract_features stopped calling it
+    # there, that per-layer time would read 0
+    calls = []
+    inner = selector.mean_clustering
+
+    def counting(g):
+        calls.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(selector, "mean_clustering", counting)
+    g = build_complete(4)
+    assert selector.extract_features(g) == inner(g)
+    assert calls == [g]

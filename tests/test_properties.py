@@ -14,16 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from commselect import (CopraConfig, GenParams, Graph, InfomapConfig,
-                        Partition, copra, copra_detect, generate, infomap,
-                        infomap_detect, local_clustering_uw,
-                        local_clustering_w, map_equation, mean_clustering,
-                        modularity, nmi, visit_rates)
+from commselect import (BinarySVM, CopraConfig, FeatureVector, GenParams,
+                        Graph, InfomapConfig, Partition, SelectorModel, copra,
+                        copra_detect, decision_margins, generate, infomap,
+                        infomap_detect, local_clustering, map_equation,
+                        mean_clustering, modularity, nmi, predict,
+                        visit_rates)
 from commselect.seeds import spawn_rng
+from commselect.selector import PAIR_ORDER
 from conftest import random_graph
 from oracles import (clustering_uw_reference, clustering_w_reference,
                      local_move_reference, propagate_step_reference,
-                     split_reference)
+                     split_reference, vote_reference)
 
 CASES = 500
 # (mu_t, mu_w, seed) of n=100 networks on which every weighted COPRA run
@@ -86,8 +88,9 @@ def test_weighted_clustering_reduces_to_unweighted():
         g0 = random_graph(rng, int(rng.integers(3, 14)), p=0.4, weighted=False)
         w = float(2.0 ** rng.integers(-3, 4))
         g = Graph(g0.n, [(u, v, w) for u, v, _ in g0.edges])
+        c_uw, c_w = local_clustering(g)
         for v in range(g.n):
-            assert local_clustering_w(g, v) == local_clustering_uw(g, v)
+            assert c_w[v] == c_uw[v]
 
 
 def test_nmi_symmetry_and_relabel_invariance():
@@ -186,8 +189,7 @@ def test_clustering_matches_brute_force():
         u, v, _ = g.edge_arrays()
         candidates = np.minimum(g.degrees[u], g.degrees[v]).sum()
         several_chunks += bool(candidates > 4 * g.edge_count)
-        c_uw = [local_clustering_uw(g, x) for x in range(g.n)]
-        c_w = [local_clustering_w(g, x) for x in range(g.n)]
+        c_uw, c_w = local_clustering(g)
         for x in range(g.n):
             assert c_uw[x] == pytest.approx(clustering_uw_reference(g, x),
                                             rel=1e-12, abs=0.0)
@@ -196,8 +198,8 @@ def test_clustering_matches_brute_force():
             if g.degrees[x] < 2:
                 assert c_uw[x] == c_w[x] == 0.0
         summary = mean_clustering(g)
-        assert summary.mean_c_uw == pytest.approx(np.mean(c_uw), abs=1e-15)
-        assert summary.mean_c_w == pytest.approx(np.mean(c_w), abs=1e-15)
+        assert summary.c_uw == pytest.approx(np.mean(c_uw), abs=1e-15)
+        assert summary.c_w == pytest.approx(np.mean(c_w), abs=1e-15)
     assert several_chunks >= CASES // 4
 
 
@@ -212,7 +214,7 @@ def test_clustering_and_modularity_match_networkx():
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_weighted_edges_from(g.edges)
-        assert mean_clustering(g).mean_c_uw == pytest.approx(
+        assert mean_clustering(g).c_uw == pytest.approx(
             nx.average_clustering(h), abs=1e-12)
         p = Partition.from_labels(rng.integers(0, 3, size=g.n))
         groups = [set(members) for members in p.members()]
@@ -255,6 +257,40 @@ def same_stream_position(a, b) -> bool:
     return (np.array_equal(a.integers(0, 2 ** 31, size=3),
                            b.integers(0, 2 ** 31, size=3))
             and np.array_equal(a.random(3), b.random(3)))
+
+
+def test_predict_matches_vote_reference():
+    """On random models and features ``predict`` gives the reference vote.
+    Half the models draw weights and biases from -1, 0 and 1, so some
+    features at the training mean (x = 0) meet a zero bias, giving a decision
+    of exactly 0, and some 1-1-1 splits tie on |decision|; the classifiers
+    come in a random order."""
+    at_zero = tied_splits = 0
+    for case in range(CASES):
+        rng = case_rng(15, case)
+        mean = tuple(float(x) for x in rng.uniform(0.1, 0.9, 2))
+        std = tuple(float(x) for x in rng.uniform(0.05, 2.0, 2))
+        if rng.random() < 0.5:
+            params = rng.choice([-1.0, 0.0, 1.0], size=(3, 3))
+        else:
+            params = rng.normal(0.0, 2.0, size=(3, 3))
+        svms = tuple(BinarySVM(weights=(float(params[i, 0]),
+                                        float(params[i, 1])),
+                               bias=float(params[i, 2]),
+                               positive_class=PAIR_ORDER[i][0],
+                               negative_class=PAIR_ORDER[i][1])
+                     for i in rng.permutation(3))
+        model = SelectorModel(svms=svms, feature_mean=mean, feature_std=std)
+        f = FeatureVector(*(mean if rng.random() < 0.3
+                            else (float(x) for x in rng.uniform(0, 1, 2))))
+        assert predict(model, f) == vote_reference(model, f.c_uw, f.c_w)
+        margins = list(decision_margins(model, f).values())
+        votes = {svm.positive_class if d >= 0 else svm.negative_class
+                 for svm, d in zip(model.svms, margins)}
+        size = np.sort(np.abs(margins))
+        at_zero += bool(size[0] == 0.0)
+        tied_splits += len(votes) == 3 and bool(size[2] == size[1])
+    assert at_zero >= CASES // 10 and tied_splits >= 10
 
 
 def test_propagate_step_matches_reference():

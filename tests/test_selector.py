@@ -82,25 +82,24 @@ class TestLabelNetwork:
 
 class TestTrainBinary:
     def test_separable_pair(self):
-        data = [(FeatureVector(0.0, 0.0), -1), (FeatureVector(1.0, 1.0), 1)]
-        # features act as already-standardized coordinates here
+        data = [((0.0, 0.0), -1), ((1.0, 1.0), 1)]
+        # already-standardized coordinates
         svm = train_binary(data, SvmHyper(seed=1))
-        for f, y in data:
-            d = svm.decision(f.as_array())
+        for x, y in data:
+            d = svm.decision(x)
             assert (d >= 0) == (y == 1)
 
     def test_degenerate_identical_points(self):
-        data = [(FeatureVector(0.5, 0.5), 1), (FeatureVector(0.5, 0.5), -1),
-                (FeatureVector(0.5, 0.5), -1)]
+        data = [((0.5, 0.5), 1), ((0.5, 0.5), -1), ((0.5, 0.5), -1)]
         svm = train_binary(data, SvmHyper(seed=2))
         assert all(math.isfinite(v) for v in (*svm.weights, svm.bias))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            train_binary([(FeatureVector(0.1, 0.1), 1)], SvmHyper())
+            train_binary([((0.1, 0.1), 1)], SvmHyper())
 
     def test_deterministic(self):
-        data = [(FeatureVector(0.1 * i % 1, 0.07 * i % 1), 1 if i % 2 else -1)
+        data = [((0.1 * i % 1, 0.07 * i % 1), 1 if i % 2 else -1)
                 for i in range(20)]
         a = train_binary(data, SvmHyper(seed=33))
         b = train_binary(data, SvmHyper(seed=33))
