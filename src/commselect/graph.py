@@ -22,6 +22,14 @@ import numpy as np
 Edge = tuple[int, int, float]
 
 
+class EdgeError(ValueError):
+    """An edge that ``Graph`` rejects; ``row`` is its index in the input."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 class Graph:
     """Simple undirected weighted graph with dense integer node ids.
 
@@ -29,6 +37,8 @@ class Graph:
         node_count: number of nodes N; ids are 0..N-1.
         edges: (u, v, w) rows with u != v, w > 0, as an iterable of triples
             or an (m, 3) array. Each unordered pair may appear at most once.
+            The first row, in input order, that breaks a rule raises
+            ``EdgeError``, which names the fault and carries the row index.
         labels: optional original node labels (length N), kept when a parsed
             file used sparse or non-contiguous ids. ``None`` means identity.
     """
@@ -60,14 +70,14 @@ class Graph:
         repeats = order[1:][np.diff(key[order]) == 0]
         if repeats.size:
             i = int(repeats.min())
-            raise ValueError(f"duplicate edge ({lo[i]},{hi[i]})")
+            raise EdgeError(i, f"duplicate edge ({lo[i]},{hi[i]})")
         if faulty.size:
             a, b, wi = int(u[clean]), int(v[clean]), float(w[clean])
             if a == b:
-                raise ValueError(f"self-loop on node {a}")
+                raise EdgeError(clean, f"self-loop on node {a}")
             if not in_range[clean]:
-                raise ValueError(f"edge ({a},{b}) outside node range [0,{n})")
-            raise ValueError(f"non-positive weight {wi} on edge ({a},{b})")
+                raise EdgeError(clean, f"edge ({a},{b}) outside node range [0,{n})")
+            raise EdgeError(clean, f"non-positive weight {wi} on edge ({a},{b})")
         if labels is not None:
             labels = tuple(int(x) for x in labels)
             if len(labels) != n:
@@ -248,9 +258,7 @@ def with_unit_weights(g: Graph) -> Graph:
 def _format_weight(w: float) -> str:
     # fixed point matches the documented format for ordinary weights;
     # scientific keeps >= 9 significant digits for very small ones
-    if w >= 0.5:
-        return f"{w:.9f}"
-    return f"{w:.9e}"
+    return f"{w:.9f}" if w >= 0.5 else f"{w:.9e}"
 
 
 def _lines(text: str | IO[str]) -> list[str]:
@@ -273,67 +281,60 @@ def parse_edge_list(text: str | IO[str]) -> Graph:
     ids, and ids that are not exactly 0..N-1 are labels.
 
     Raises:
-        ValueError: on self-loops, duplicate pairs, non-positive weights,
-            malformed tokens, or a negative or unmet node count, naming the
-            first offending line.
+        ValueError: ``line N: <fault> in '<line>'`` for the first faulty line.
+            Tokens are read here; ``Graph`` checks edges, naming labels by rank.
     """
-    declared = None  # (line number, N)
-    ends: list[int] = []
-    weights: list[float] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].split()
-            if len(body) == 2 and body[0] == "nodes":
+    lines = _lines(text)
+    declared = fault = None  # (line index, N) and (line index, reason)
+    ends, weights, at = [], [], []  # ids, weight and line index per edge
+    try:
+        for i, raw in enumerate(lines):
+            parts = raw.split()
+            if parts and parts[0][0] == "#":
+                body = raw.strip()[1:].split()
+                if len(body) == 2 and body[0] == "nodes":
+                    try:
+                        count = int(body[1])
+                    except ValueError:
+                        raise ValueError("bad node count comment")
+                    if count < 0:
+                        raise ValueError("negative node count")
+                    declared = (i, count)
+            elif parts:
+                if len(parts) not in (2, 3):
+                    raise ValueError("expected 'u v [w]'")
                 try:
-                    declared = (lineno, int(body[1]))
+                    u, v = int(parts[0]), int(parts[1])
                 except ValueError:
-                    raise ValueError(f"line {lineno}: bad node count comment")
-                if declared[1] < 0:
-                    raise ValueError(f"line {lineno}: negative node count")
-            continue
-        parts = line.replace("\t", " ").split()
-        if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed node id in {raw!r}")
-        if not (0 <= u < 2 ** 63 and 0 <= v < 2 ** 63):
-            raise ValueError(f"line {lineno}: node id out of range in {raw!r}")
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed weight in {raw!r}")
-        else:
-            w = 1.0
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop on node {u}")
-        if not w > 0.0:
-            raise ValueError(f"line {lineno}: non-positive weight {w}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
-        ends += (u, v)
-        weights.append(w)
-
+                    raise ValueError("malformed node id")
+                if not (0 <= u < 2 ** 63 and 0 <= v < 2 ** 63):
+                    raise ValueError("node id out of range")
+                try:
+                    weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+                except ValueError:
+                    raise ValueError("malformed weight")
+                ends += (u, v)
+                at.append(i)
+    except ValueError as exc:
+        fault = (i, str(exc))
     pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
     ids, index = np.unique(pairs, return_inverse=True)
     line, n = declared or (None, ids.size)
-    if ids.size == 0 or ids[-1] < n:
-        # ids are node indices; any not named are isolated nodes
-        return Graph(n, np.column_stack((pairs, weights)))
-    if ids.size != n:
-        raise ValueError(f"line {line}: {n} nodes declared, but the "
-                         f"{ids.size} distinct ids are not all below {n}")
-    return Graph(n, np.column_stack((index.reshape(-1, 2), weights)),
-                 labels=ids.tolist())
+    try:
+        if ids.size == 0 or ids[-1] < n:
+            # ids are node indices; any not named are isolated nodes
+            g = Graph(n, np.column_stack((pairs, weights)))
+        else:
+            g = Graph(ids.size, np.column_stack((index.reshape(-1, 2), weights)),
+                      labels=ids.tolist())
+    except EdgeError as exc:
+        fault = (at[exc.row], str(exc))
+    if fault is None and g.n != n:
+        fault = (line, f"{n} nodes declared, but the {ids.size} distinct ids "
+                       f"are not all below {n}")
+    if fault is not None:
+        raise ValueError(f"line {fault[0] + 1}: {fault[1]} in {lines[fault[0]]!r}")
+    return g
 
 
 def write_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:
@@ -343,13 +344,17 @@ def write_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:
     tab-separated, weights with at least nine significant digits. A
     ``# nodes N`` comment always leads so the node count survives the round
     trip even for graphs with isolated nodes or no edges at all.
-    ``parse_edge_list(write_edge_list(g))`` reproduces ``g``. A labelled
-    graph with an isolated node raises ``ValueError``: no line names it.
+    ``parse_edge_list(write_edge_list(g))`` reproduces ``g``, so a labelled
+    graph that the parser cannot make raises ``ValueError``: one with an
+    isolated node, whose label no line would name, or with labels that do
+    not ascend from 0 or more, as they would read back in another order.
     """
     lab = g.labels
-    if lab is not None and (g.degrees == 0).any():
+    if lab and (g.degrees == 0).any():
         raise ValueError(f"node labelled {lab[int(np.argmin(g.degrees))]} has "
                          "no link, so an edge list cannot carry its label")
+    if lab and (sorted(set(lab)) != list(lab) or lab[0] < 0):
+        raise ValueError("labels must ascend from 0 or more")
     out = [f"# nodes {g.n}"]
     for comment in header_comments:
         out.append(f"# {comment}")
@@ -383,10 +388,9 @@ def parse_partition(text: str | IO[str]) -> Partition:
     """
     pairs: dict[int, int] = {}
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.replace("\t", " ").split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'node community'")
         try:

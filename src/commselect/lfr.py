@@ -35,14 +35,12 @@ class GenerationError(Exception):
 
     Attributes:
         stage: name of the failing stage (degrees, community_sizes,
-            assignment, topology, weights).
-        achieved: optional measured value at failure (e.g. the mixing
-            actually reached).
+            assignment, topology, weights). The message names the stage and
+            any value measured at failure, such as the mixing reached.
     """
 
-    def __init__(self, stage: str, message: str, achieved: float | None = None):
+    def __init__(self, stage: str, message: str):
         self.stage = stage
-        self.achieved = achieved
         super().__init__(f"[{stage}] {message}")
 
 
@@ -379,8 +377,7 @@ def build_topology(degrees, sizes, mu_t, rng,
     if abs(achieved - mu_t) > mix_tolerance:
         raise GenerationError(
             "topology",
-            f"reached mu_t={achieved:.4f}, target {mu_t} +- {mix_tolerance}",
-            achieved=achieved)
+            f"reached mu_t={achieved:.4f}, target {mu_t} +- {mix_tolerance}")
     return graph, truth
 
 
@@ -595,8 +592,7 @@ def assign_weights(g: Graph, truth: Partition, beta: float, mu_w: float,
         raise GenerationError(
             "weights",
             f"strength fit stalled at mean relative error {err:.4f} "
-            f"(tolerance {tolerance})",
-            achieved=err)
+            f"(tolerance {tolerance})")
     return Graph(g.n, np.column_stack((eu, ev, w)))
 
 

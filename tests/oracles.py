@@ -9,7 +9,8 @@ per-node, per-move loop for each batched round of Infomap's node moving,
 every code-length term recomputed), and so is the depth-first split of a
 labelling into connected communities, so that the optimised loops can be
 required to return exactly the same results. The selector's vote is counted
-here ballot by ballot from a model's fields.
+here ballot by ballot from a model's fields, and an edge-list file is read
+line by line with every edge check made on the line it names.
 """
 
 import math
@@ -231,6 +232,60 @@ def vote_reference(model, c_uw, c_w):
             best = ballot
     return best[0]
 
+
+def edge_list_reference(text):
+    """Edge-list text read line by line, each check made on its own line: a
+    ``ValueError`` naming the first faulty line, or ``(n, rows, labels)``
+    with the (u, v, w) rows in input order. When the ids are labels, rows
+    hold their ranks among the sorted ids and ``labels`` those ids; when they
+    are node indices, ``labels`` is None."""
+    declared = None  # (line number, N)
+    rows, seen = [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].split()
+            if len(body) == 2 and body[0] == "nodes":
+                try:
+                    declared = (lineno, int(body[1]))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad node count comment")
+                if declared[1] < 0:
+                    raise ValueError(f"line {lineno}: negative node count")
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ValueError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed node id in {raw!r}")
+        if not (0 <= u < 2 ** 63 and 0 <= v < 2 ** 63):
+            raise ValueError(f"line {lineno}: node id out of range in {raw!r}")
+        try:
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed weight in {raw!r}")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop on node {u}")
+        if not w > 0.0:
+            raise ValueError(f"line {lineno}: non-positive weight {w}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {key}")
+        seen.add(key)
+        rows.append((u, v, w))
+    ids = sorted({x for u, v, _ in rows for x in (u, v)})
+    line, n = declared or (None, len(ids))
+    if not ids or ids[-1] < n:
+        return n, rows, None
+    if len(ids) != n:
+        raise ValueError(f"line {line}: {n} nodes declared, but the "
+                         f"{len(ids)} distinct ids are not all below {n}")
+    rank = {x: i for i, x in enumerate(ids)}
+    return n, [(rank[u], rank[v], w) for u, v, w in rows], tuple(ids)
 
 def _plogp(x):
     return x * np.log2(x) if x > 0.0 else 0.0

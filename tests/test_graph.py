@@ -3,6 +3,7 @@ import pytest
 
 from commselect import (Graph, Partition, parse_edge_list, parse_partition,
                         with_unit_weights, write_edge_list, write_partition)
+from commselect.graph import EdgeError
 from conftest import build_complete, build_star, random_graph
 
 
@@ -34,6 +35,16 @@ class TestGraphConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             Graph(2, [(0, 5, 1.0)])
+
+    def test_rejected_row_is_named(self):
+        # the first faulty row in input order; a repeat is its later copy
+        for edges, row in (([(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)], 2),
+                           ([(0, 1, 1.0), (2, 1, 1.0), (1, 0, 2.0),
+                             (0, 0, 1.0)], 2),
+                           ([(0, 1, 1.0), (1, 2, -1.0), (2, 1, 1.0)], 1)):
+            with pytest.raises(EdgeError) as err:
+                Graph(3, edges)
+            assert err.value.row == row
 
     def test_degree_sum_is_twice_edges(self, rng):
         for _ in range(25):
@@ -142,6 +153,30 @@ class TestEdgeListIO:
         g = Graph(3, [(0, 1, 1.0)], labels=(10, 20, 30))
         with pytest.raises(ValueError, match="30"):
             write_edge_list(g)
+
+    def test_labels_out_of_parse_order_rejected(self):
+        # labels all below n would be read back as node indices, and
+        # labels out of order would come back in another node order
+        for labels in ((2, 0, 1), (5, 1, 9), (-1, 0, 1)):
+            g = Graph(3, [(0, 1, 1.0), (1, 2, 2.0)], labels=labels)
+            with pytest.raises(ValueError, match="ascend"):
+                write_edge_list(g)
+        g = Graph(3, [(0, 1, 1.0), (1, 2, 2.0)], labels=(0, 1, 2))
+        assert parse_edge_list(write_edge_list(g)) == g
+
+    def test_errors_quote_the_line(self):
+        # one shape for every fault: the line number, the reason and the
+        # line as written, so a labelled edge is named by its file ids
+        for text, message in (
+                ("10 20\n20\t20\n", "line 2: self-loop on node 1 in '20\\t20'"),
+                ("0 1\n0 1 2 3\n", "line 2: expected 'u v [w]' in '0 1 2 3'"),
+                ("0 1\n1 0\n# nodes -1\n",
+                 "line 2: duplicate edge (0,1) in '1 0'"),
+                ("# nodes 2\n10 20\n20 40\n", "line 1: 2 nodes declared, but "
+                 "the 3 distinct ids are not all below 2 in '# nodes 2'")):
+            with pytest.raises(ValueError) as err:
+                parse_edge_list(text)
+            assert str(err.value) == message
 
     def test_unmet_node_count_names_line(self):
         # ids past the declared count must be exactly that many labels

@@ -10,6 +10,7 @@ checks use power-of-two factors for the bit-identical detector assertions
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,14 +19,14 @@ from commselect import (BinarySVM, CopraConfig, FeatureVector, GenParams,
                         Graph, InfomapConfig, Partition, SelectorModel, copra,
                         copra_detect, decision_margins, generate, infomap,
                         infomap_detect, local_clustering, map_equation,
-                        mean_clustering, modularity, nmi, predict,
-                        visit_rates)
+                        mean_clustering, modularity, nmi, parse_edge_list,
+                        predict, visit_rates)
 from commselect.seeds import spawn_rng
 from commselect.selector import PAIR_ORDER
 from conftest import random_graph
 from oracles import (clustering_uw_reference, clustering_w_reference,
-                     local_move_reference, propagate_step_reference,
-                     split_reference, vote_reference)
+                     edge_list_reference, local_move_reference,
+                     propagate_step_reference, split_reference, vote_reference)
 
 CASES = 500
 # (mu_t, mu_w, seed) of n=100 networks on which every weighted COPRA run
@@ -249,6 +250,99 @@ def test_graph_rejects_bad_edges():
         with pytest.raises(ValueError) as err:
             Graph(g.n, edges[:at] + [bad] + edges[at:])
         assert str(err.value) == message
+
+
+# the kinds of fault an edge-list error can name: three that Graph finds in
+# the edges, six in the tokens, and a declared count the ids do not meet
+EDGE_LIST_FAULTS = ("self-loop", "non-positive weight", "duplicate edge",
+                    "expected 'u v [w]'", "malformed node id",
+                    "node id out of range", "malformed weight",
+                    "negative node count", "bad node count comment",
+                    "nodes declared")
+
+
+def edge_list_fault(message):
+    """(line number, kind) named by an edge-list error."""
+    number = re.match(r"line (\d+): ", message)
+    kinds = [k for k in EDGE_LIST_FAULTS if k in message]
+    assert number and len(kinds) == 1, message
+    return int(number.group(1)), kinds[0]
+
+
+def faulty_line(rng, kind, ids, lines):
+    """One line holding a fault of the given kind (an index into
+    EDGE_LIST_FAULTS, but for the last), on ids of the file."""
+    a, b = (int(x) for x in rng.choice(ids, 2, replace=False))
+    if kind == 0:
+        return f"{a} {a} 1.5"
+    if kind == 1:
+        return f"{a}\t{b}\t{rng.choice(['0', '-0.0', '-1.5', 'nan'])}"
+    if kind == 2:
+        u, v = lines[int(rng.integers(len(lines)))].split()[:2]
+        return " ".join([v, u] if rng.random() < 0.5 else [u, v]) + " 2.5"
+    if kind == 3:
+        return f"{a} {b} 1.0 7"
+    if kind == 4:
+        return rng.choice([f"{a} x{b}", f"{a}.5 {b} 1.0", f"{a} 0x{b}"])
+    if kind == 5:
+        return rng.choice([f"-{a + 1} {b}", f"{a} {2 ** 63 + b} 1.0"])
+    if kind == 6:
+        return rng.choice([f"{a} {b} abc", f"{a} {b} 1,5"])
+    if kind == 7:
+        return f"# nodes -{a + 1}"
+    return f"# nodes {a}.5"
+
+
+def test_parser_names_first_fault():
+    """Random edge-list files, with ids as node indices or as sparse labels,
+    with or without ``# nodes N``, comments, blank lines and missing
+    weights, carry zero, one or two faults of different kinds on random
+    lines, and some declared counts miss the ids by one. The parser names
+    the line and the kind of fault that the line-by-line reference names
+    first, and parses a clean file as the reference does."""
+    won, masked = {}, 0
+    for case in range(CASES):
+        rng = case_rng(10, case)
+        g = random_graph(rng, int(rng.integers(3, 12)), p=0.5)
+        if rng.random() < 0.5:
+            ids = np.arange(g.n)
+            declared = g.n
+        else:
+            high = int(rng.choice([50, 10 ** 6]))
+            ids = (rng.choice(high, size=g.n, replace=False)
+                   + rng.choice([0, 2 ** 63 - high]))
+            declared = int(np.count_nonzero(g.degrees))
+        sep = rng.choice([" ", "\t", "  ", " \t "])
+        lines = [f"{ids[u]}{sep}{ids[v]}" + (f"{sep}{w!r}" if rng.random() < 0.8
+                                              else "")
+                 for u, v, w in scrambled_edges(rng, g)]
+        # a count that may miss the ids by one
+        declared += int(rng.choice([0, 0, 0, 0, 1, -1]))
+        extras = ["# a comment", "", "   "] + (
+            [rng.choice([f"# nodes {declared}", f"#\tnodes {declared}"])]
+            if rng.random() < 0.5 else [])
+        kinds = rng.choice(9, size=int(rng.integers(3)), replace=False)
+        extras += [faulty_line(rng, int(k), ids, lines) for k in kinds]
+        for extra in extras:
+            lines.insert(int(rng.integers(len(lines) + 1)), extra)
+        text = "\n".join(lines) + rng.choice(["", "\n"])
+        try:
+            n, rows, labels = edge_list_reference(text)
+        except ValueError as exc:
+            expected = edge_list_fault(str(exc))
+            with pytest.raises(ValueError) as err:
+                parse_edge_list(text)
+            assert edge_list_fault(str(err.value)) == expected, text
+            won[expected[1]] = won.get(expected[1], 0) + 1
+            # an edge fault met before a line that does not scan
+            masked += (EDGE_LIST_FAULTS.index(expected[1]) < 3
+                       and any(k >= 3 for k in kinds))
+        else:
+            assert kinds.size == 0, text
+            g = parse_edge_list(text)
+            assert g == Graph(n, rows) and g.labels == labels
+    assert min(won.get(k, 0) for k in EDGE_LIST_FAULTS) >= 15, won
+    assert masked >= 20, masked
 
 
 def same_stream_position(a, b) -> bool:
